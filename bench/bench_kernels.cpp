@@ -57,6 +57,50 @@ void BM_AndPopcount4(benchmark::State& state) {
 }
 BENCHMARK(BM_AndPopcount4)->Arg(8)->Arg(64)->Arg(512);
 
+// The staged inner loop over one block of rows, batched versus per row, at
+// the cover4_brca row widths: 2 words (BitSpliced tumor tail), 9 (normal)
+// and 15 (tumor head). 97 rows is the l-range of the (0, 1, 2) prefix at
+// G=100; items are rows scored, so the two cases report comparable rates.
+constexpr std::size_t kBlockRows = 97;
+
+std::vector<std::uint64_t> random_words(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> out(n);
+  for (auto& w : out) w = rng();
+  return out;
+}
+
+void BM_AndPopcountRows(benchmark::State& state) {
+  const std::size_t words = static_cast<std::size_t>(state.range(0));
+  const auto pre = random_words(words, 5);
+  const auto rows = random_words(words * kBlockRows, 6);
+  std::vector<std::uint32_t> counts(kBlockRows);
+  for (auto _ : state) {
+    and_popcount_rows(pre, rows, counts);
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBlockRows);
+}
+BENCHMARK(BM_AndPopcountRows)->Arg(2)->Arg(9)->Arg(15);
+
+void BM_AndPopcountPerRow(benchmark::State& state) {
+  const std::size_t words = static_cast<std::size_t>(state.range(0));
+  const auto pre = random_words(words, 5);
+  const auto rows = random_words(words * kBlockRows, 6);
+  std::vector<std::uint32_t> counts(kBlockRows);
+  const std::span<const std::uint64_t> block(rows);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kBlockRows; ++r) {
+      counts[r] = static_cast<std::uint32_t>(and_popcount(pre, block.subspan(r * words, words)));
+    }
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBlockRows);
+}
+BENCHMARK(BM_AndPopcountPerRow)->Arg(2)->Arg(9)->Arg(15);
+
 void BM_UnrankTriple(benchmark::State& state) {
   Rng rng(3);
   std::uint64_t lambda = 0;

@@ -61,6 +61,11 @@ expect analyze_malformed_input 1 analyze "$TMP/garbage.json"
 expect profile_malformed_input 1 profile "$TMP/garbage.json"
 expect monitor_malformed_input 1 monitor "$TMP/garbage.json"
 
+# 200k nested arrays: the reader's depth cap must turn this into a parse
+# error (exit 1), not a stack overflow.
+head -c 200000 /dev/zero | tr '\0' '[' > "$TMP/deep.json"
+expect analyze_deeply_nested_input 1 analyze "$TMP/deep.json"
+
 # A metrics document where a trace belongs: the schema check must reject it
 # at runtime, naming both tags.
 printf '{"schema":"multihit.metrics.v1","counters":[]}' > "$TMP/metrics.json"
@@ -114,7 +119,7 @@ expect hostprof_wrong_schema 1 hostprof "$TMP/metrics.json"
 
 # A minimal (empty-run) document replays cleanly; corrupting a total must
 # trip the reconciliation pass (exit 1), not render a wrong report.
-zero_calls='{"popcount_row":0,"and2":0,"and3":0,"and4":0,"and_rows":0,"and_rows_inplace":0,"andnot2":0,"andnot_rows":0}'
+zero_calls='{"popcount_row":0,"and2":0,"and3":0,"and4":0,"and_rows":0,"and_rows_inplace":0,"andnot2":0,"andnot_rows":0,"and_popcount_rows":0}'
 hostprof_doc() {
   printf '{"schema":"multihit.hostprof.v1","workload":{"hits":2,"scheme":"scheme2","lambda_end":0,"chunk_size":64,"workers":0,"sweeps":0,"bitops_counted":true},"totals":{"chunks":%s,"claims":0,"empty_polls":0,"candidates":0,"combinations":0,"arena_peak_words_max":0,"bitops_calls":%s},"backend":{"name":"scalar"},"wallclock":{"wall_seconds":0,"eval_seconds":0,"claim_seconds":0,"merge_seconds":0,"tail_idle_seconds":0},"workers":[],"sweeps":[]}' \
     "$1" "$zero_calls"

@@ -12,7 +12,8 @@ constexpr std::uint32_t kWordBits = 64;
 BitMatrix::BitMatrix(std::uint32_t genes, std::uint32_t samples)
     : genes_(genes),
       samples_(samples),
-      words_per_row_((samples + kWordBits - 1) / kWordBits),
+      words_per_row_(static_cast<std::uint32_t>((std::uint64_t{samples} + kWordBits - 1) /
+                                                kWordBits)),
       words_(static_cast<std::size_t>(genes) * words_per_row_, 0) {}
 
 void BitMatrix::set(std::uint32_t gene, std::uint32_t sample) noexcept {
@@ -38,6 +39,13 @@ std::span<const std::uint64_t> BitMatrix::row(std::uint32_t gene) const noexcept
 std::span<std::uint64_t> BitMatrix::row(std::uint32_t gene) noexcept {
   assert(gene < genes_);
   return {words_.data() + static_cast<std::size_t>(gene) * words_per_row_, words_per_row_};
+}
+
+std::span<const std::uint64_t> BitMatrix::rows(std::uint32_t first,
+                                               std::uint32_t count) const noexcept {
+  assert(first <= genes_ && count <= genes_ - first);
+  return {words_.data() + static_cast<std::size_t>(first) * words_per_row_,
+          static_cast<std::size_t>(count) * words_per_row_};
 }
 
 std::uint64_t BitMatrix::intersect_count(std::span<const std::uint32_t> combo) const noexcept {

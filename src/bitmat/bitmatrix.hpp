@@ -38,6 +38,10 @@ class BitMatrix {
   std::span<const std::uint64_t> row(std::uint32_t gene) const noexcept;
   std::span<std::uint64_t> row(std::uint32_t gene) noexcept;
 
+  /// `count` consecutive rows starting at `first`, as one contiguous block of
+  /// count * words_per_row() words (the operand of and_popcount_rows).
+  std::span<const std::uint64_t> rows(std::uint32_t first, std::uint32_t count) const noexcept;
+
   /// Number of samples mutated in every gene of `combo` (the intersection
   /// cardinality that TP/TN are computed from).
   std::uint64_t intersect_count(std::span<const std::uint32_t> combo) const noexcept;

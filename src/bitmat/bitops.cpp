@@ -106,6 +106,14 @@ void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
   for (std::size_t w = 0; w < dst.size(); ++w) dst[w] = a[w] & ~b[w];
 }
 
+void and_popcount_rows(std::span<const std::uint64_t> pre, std::span<const std::uint64_t> rows,
+                       std::span<std::uint32_t> out) noexcept {
+  const std::size_t n = pre.size();
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = static_cast<std::uint32_t>(and_popcount2(pre, rows.subspan(r * n, n)));
+  }
+}
+
 }  // namespace bitops_scalar
 
 // ---------------------------------------------------------------------------
@@ -129,6 +137,8 @@ struct Kernels {
   void (*and_rows_inplace)(std::span<std::uint64_t>, std::span<const std::uint64_t>) noexcept;
   void (*andnot_rows)(std::span<std::uint64_t>, std::span<const std::uint64_t>,
                       std::span<const std::uint64_t>) noexcept;
+  void (*and_popcount_rows)(std::span<const std::uint64_t>, std::span<const std::uint64_t>,
+                            std::span<std::uint32_t>) noexcept;
 };
 
 constexpr Kernels kScalarKernels{
@@ -141,6 +151,7 @@ constexpr Kernels kScalarKernels{
     bitops_scalar::and_rows,
     bitops_scalar::and_rows_inplace,
     bitops_scalar::andnot_rows,
+    bitops_scalar::and_popcount_rows,
 };
 
 constexpr Kernels kAvx2Kernels{
@@ -153,6 +164,7 @@ constexpr Kernels kAvx2Kernels{
     bitops_avx2::and_rows,
     bitops_avx2::and_rows_inplace,
     bitops_avx2::andnot_rows,
+    bitops_avx2::and_popcount_rows,
 };
 
 // -------------------------------------------------------------- call counting
@@ -215,6 +227,13 @@ void counted_andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint
   ++tl_calls.andnot_rows;
   kBase.andnot_rows(dst, a, b);
 }
+template <const Kernels& kBase>
+void counted_and_popcount_rows(std::span<const std::uint64_t> pre,
+                               std::span<const std::uint64_t> rows,
+                               std::span<std::uint32_t> out) noexcept {
+  ++tl_calls.and_popcount_rows;
+  kBase.and_popcount_rows(pre, rows, out);
+}
 
 template <const Kernels& kBase>
 constexpr Kernels counting_table() noexcept {
@@ -226,7 +245,8 @@ constexpr Kernels counting_table() noexcept {
                  counted_andnot2<kBase>,
                  counted_and_rows<kBase>,
                  counted_and_rows_inplace<kBase>,
-                 counted_andnot_rows<kBase>};
+                 counted_andnot_rows<kBase>,
+                 counted_and_popcount_rows<kBase>};
 }
 
 constexpr Kernels kScalarCounting = counting_table<kScalarKernels>();
@@ -374,6 +394,12 @@ void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
                  std::span<const std::uint64_t> b) noexcept {
   MULTIHIT_BITOPS_CHECK("andnot_rows", dst.size(), a.size(), b.size());
   kernels().andnot_rows(dst, a, b);
+}
+
+void and_popcount_rows(std::span<const std::uint64_t> pre, std::span<const std::uint64_t> rows,
+                       std::span<std::uint32_t> out) noexcept {
+  MULTIHIT_BITOPS_CHECK("and_popcount_rows", rows.size(), out.size() * pre.size());
+  kernels().and_popcount_rows(pre, rows, out);
 }
 
 }  // namespace multihit

@@ -20,12 +20,19 @@
 //            target attributes, so the rest of the binary stays baseline
 //            x86-64 and the backend is a pure *runtime* decision.
 //
+// The staged inner loop of every MemOpt2 kernel runs through one batched
+// primitive, and_popcount_rows: a single dispatched call scores a staged
+// prefix against a whole contiguous block of rows, so the indirect call and
+// the reduction set-up are paid once per prefix instead of once per
+// combination.
+//
 // Dispatch is resolved once from CPUID (and the MULTIHIT_BITOPS environment
 // override: "scalar", "avx2", or "auto") on first use; set_backend() can
 // retarget it at any time. All backends produce bit-identical counts, so the
 // choice is invisible to everything above — only the wall clock moves.
 //
-// Length contract: all multi-row operations require equal-length spans. In
+// Length contract: all multi-row operations require equal-length spans
+// (and_popcount_rows: rows.size() == out.size() * pre.size()). In
 // checked builds (!NDEBUG or MULTIHIT_CHECKS, the ASan preset) a mismatch
 // aborts with a diagnostic; release builds trust the caller (BitMatrix rows
 // are same-width by construction).
@@ -93,6 +100,13 @@ std::uint64_t and_popcount(std::span<const std::uint64_t> a, std::span<const std
 std::uint64_t andnot_popcount(std::span<const std::uint64_t> a,
                               std::span<const std::uint64_t> b) noexcept;
 
+/// out[r] = popcount(pre & rows[r]) for each of the out.size() rows in
+/// `rows`, a contiguous block of rows pre.size() words wide each (as
+/// BitMatrix::rows hands out). The batched MemOpt2 inner loop: one call
+/// scores every row l against a staged prefix pre = row(i) & row(j) & ...
+void and_popcount_rows(std::span<const std::uint64_t> pre, std::span<const std::uint64_t> rows,
+                       std::span<std::uint32_t> out) noexcept;
+
 /// dst = a & b. The prefetch step of MemOpt1/MemOpt2: a thread with fixed
 /// (i, j) ANDs those rows once into thread-local storage instead of
 /// re-reading both from global memory on every inner iteration.
@@ -123,10 +137,11 @@ struct BitopsCallCounts {
   std::uint64_t and_rows_inplace = 0;
   std::uint64_t andnot2 = 0;
   std::uint64_t andnot_rows = 0;
+  std::uint64_t and_popcount_rows = 0;
 
   std::uint64_t total() const noexcept {
     return popcount_row + and2 + and3 + and4 + and_rows + and_rows_inplace + andnot2 +
-           andnot_rows;
+           andnot_rows + and_popcount_rows;
   }
 
   BitopsCallCounts operator-(const BitopsCallCounts& other) const noexcept {
@@ -137,7 +152,8 @@ struct BitopsCallCounts {
             and_rows - other.and_rows,
             and_rows_inplace - other.and_rows_inplace,
             andnot2 - other.andnot2,
-            andnot_rows - other.andnot_rows};
+            andnot_rows - other.andnot_rows,
+            and_popcount_rows - other.and_popcount_rows};
   }
 };
 
@@ -176,6 +192,8 @@ void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
 void and_rows_inplace(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a) noexcept;
 void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
                  std::span<const std::uint64_t> b) noexcept;
+void and_popcount_rows(std::span<const std::uint64_t> pre, std::span<const std::uint64_t> rows,
+                       std::span<std::uint32_t> out) noexcept;
 }  // namespace bitops_scalar
 
 /// AVX2 entry points exist on every x86-64 build (per-function target
@@ -198,6 +216,8 @@ void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
 void and_rows_inplace(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a) noexcept;
 void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
                  std::span<const std::uint64_t> b) noexcept;
+void and_popcount_rows(std::span<const std::uint64_t> pre, std::span<const std::uint64_t> rows,
+                       std::span<std::uint32_t> out) noexcept;
 }  // namespace bitops_avx2
 
 }  // namespace multihit

@@ -176,6 +176,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     sample.calls.and_rows_inplace = delta.and_rows_inplace;
     sample.calls.andnot2 = delta.andnot2;
     sample.calls.andnot_rows = delta.andnot_rows;
+    sample.calls.and_popcount_rows = delta.and_popcount_rows;
     sample.chunks = out.chunks;
     sample.candidates = static_cast<std::uint64_t>(out.candidates.size());
     sample.combinations = out.stats.combinations;

@@ -2,9 +2,11 @@
 // Shared internals of the enumeration kernels (core/schemes*.cpp only).
 
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
+#include "bitmat/bitmatrix.hpp"
 #include "combinat/linearize.hpp"
 #include "core/arena.hpp"
 #include "core/fscore.hpp"
@@ -47,14 +49,20 @@ class BestTracker {
   EvalResult best_;
 };
 
-// Scratch buffers for prefetch staging, one pair per nesting depth. With an
-// arena, buffers are bump-allocated (the caller owns the reset cadence — the
-// host sweep resets per chunk, the device model per launch); without one the
-// scratch self-owns a single heap block, preserving the old behavior.
+// Scratch buffers for prefetch staging, one pair per nesting depth, plus the
+// per-row tumor/normal count buffers scan_staged fills (one u32 per gene
+// each). With an arena, buffers are bump-allocated (the caller owns the reset
+// cadence — the host sweep resets per chunk, the device model per launch);
+// without one the scratch self-owns a single heap block.
 struct Scratch {
-  Scratch(std::uint32_t tumor_words, std::uint32_t normal_words, Arena* arena = nullptr) {
-    const std::size_t total =
+  Scratch(const BitMatrix& tumor, const BitMatrix& normal, Arena* arena = nullptr) {
+    const std::uint32_t tumor_words = tumor.words_per_row();
+    const std::uint32_t normal_words = normal.words_per_row();
+    const std::uint32_t genes = tumor.genes();
+    const std::size_t staged =
         3 * (static_cast<std::size_t>(tumor_words) + static_cast<std::size_t>(normal_words));
+    // Two u32 buffers of `genes` entries fill `genes` words after the rows.
+    const std::size_t total = staged + genes;
     std::span<std::uint64_t> block;
     if (arena != nullptr) {
       block = arena->alloc_words(total);
@@ -69,14 +77,41 @@ struct Scratch {
     n1 = block.subspan(n0, normal_words);
     n2 = block.subspan(n0 + normal_words, normal_words);
     n3 = block.subspan(n0 + 2 * static_cast<std::size_t>(normal_words), normal_words);
+    if (genes > 0) {
+      // Placement new starts the u32 objects' lifetime in the word storage.
+      std::uint32_t* counts =
+          ::new (static_cast<void*>(block.data() + staged)) std::uint32_t[2 * std::size_t{genes}];
+      tumor_counts = {counts, genes};
+      normal_counts = {counts + genes, genes};
+    }
   }
 
   std::span<std::uint64_t> t1, t2, t3;
   std::span<std::uint64_t> n1, n2, n3;
+  std::span<std::uint32_t> tumor_counts, normal_counts;
 
  private:
   std::vector<std::uint64_t> own_;
 };
+
+// The staged (MemOpt2) inner loop: scores the combination (prefix, r) for
+// every row r in [first, genes) against the staged prefix rows pre_t / pre_n.
+// One dispatched and_popcount_rows call per matrix fills the count buffers,
+// then the tracker sees the rows in ascending order, as a per-row loop would.
+// `rank_of(r)` is the combination's rank.
+template <typename RankFn>
+void scan_staged(BestTracker& best, Scratch& scratch, const BitMatrix& tumor,
+                 const BitMatrix& normal, std::span<const std::uint64_t> pre_t,
+                 std::span<const std::uint64_t> pre_n, std::uint32_t first, RankFn&& rank_of) {
+  const std::uint32_t count = tumor.genes() - first;
+  const std::span<std::uint32_t> tp = scratch.tumor_counts.first(count);
+  const std::span<std::uint32_t> nh = scratch.normal_counts.first(count);
+  and_popcount_rows(pre_t, tumor.rows(first, count), tp);
+  and_popcount_rows(pre_n, normal.rows(first, count), nh);
+  for (std::uint32_t r = 0; r < count; ++r) {
+    best.consider(tp[r], nh[r], [&] { return rank_of(first + r); });
+  }
+}
 
 // Colex successor of a pair (i < j).
 inline void advance_pair(Pair& p) noexcept {

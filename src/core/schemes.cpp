@@ -17,6 +17,7 @@ using detail::BestTracker;
 using detail::Scratch;
 using detail::advance_pair;
 using detail::advance_triple;
+using detail::scan_staged;
 
 // ---------------------------------------------------------------------------
 // 4-hit kernels
@@ -30,7 +31,7 @@ EvalResult eval4_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   Triple t = begin < end ? unrank_triple(begin) : Triple{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_triple(t)) {
@@ -44,11 +45,8 @@ EvalResult eval4_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
       const std::uint32_t fixed[3] = {t.i, t.j, t.k};
       tumor.combine_rows(fixed, scratch.t1);
       normal.combine_rows(fixed, scratch.n1);
-      for (std::uint32_t l = t.k + 1; l < genes; ++l) {
-        const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(l));
-        const std::uint64_t nh = and_popcount(scratch.n1, normal.row(l));
-        best.consider(tp, nh, [&] { return base_rank + quartic(l); });
-      }
+      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, t.k + 1,
+                  [&](std::uint32_t l) { return base_rank + quartic(l); });
       if (stats) {
         stats->word_ops += 2 * (wt + wn) + inner * (wt + wn);
         stats->global_words += 3 * (wt + wn) + inner * (wt + wn);
@@ -96,7 +94,7 @@ EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   Pair p = begin < end ? unrank_pair(begin) : Pair{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_pair(p)) {
@@ -116,12 +114,9 @@ EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
         and_rows(scratch.t2, scratch.t1, tumor.row(k));
         and_rows(scratch.n2, scratch.n1, normal.row(k));
         const std::uint64_t rank_ijk = base_rank + tetrahedral(k);
-        for (std::uint32_t l = k + 1; l < genes; ++l) {
-          const std::uint64_t tp = and_popcount(scratch.t2, tumor.row(l));
-          const std::uint64_t nh = and_popcount(scratch.n2, normal.row(l));
-          best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-          ++inner;
-        }
+        scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, k + 1,
+                    [&](std::uint32_t l) { return rank_ijk + quartic(l); });
+        inner += genes - 1 - k;
       }
       if (stats) {
         const std::uint64_t nk = genes - 2 - p.j;
@@ -173,7 +168,7 @@ EvalResult eval4_1x3(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
     const auto i = static_cast<std::uint32_t>(lambda);
@@ -190,12 +185,9 @@ EvalResult eval4_1x3(const BitMatrix& tumor, const BitMatrix& normal, const FCon
           and_rows(scratch.n2, scratch.n1, normal.row(k));
           ++nk;
           const std::uint64_t rank_ijk = i + triangular(j) + tetrahedral(k);
-          for (std::uint32_t l = k + 1; l < genes; ++l) {
-            const std::uint64_t tp = and_popcount(scratch.t2, tumor.row(l));
-            const std::uint64_t nh = and_popcount(scratch.n2, normal.row(l));
-            best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-            ++inner;
-          }
+          scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, k + 1,
+                      [&](std::uint32_t l) { return rank_ijk + quartic(l); });
+          inner += genes - 1 - k;
         }
       }
       if (stats) {
@@ -283,7 +275,7 @@ EvalResult eval3_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   Pair p = begin < end ? unrank_pair(begin) : Pair{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_pair(p)) {
@@ -297,11 +289,8 @@ EvalResult eval3_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
     if (opts.prefetch_j) {
       and_rows(scratch.t1, tumor.row(p.i), tumor.row(p.j));
       and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
-      for (std::uint32_t k = p.j + 1; k < genes; ++k) {
-        const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(k));
-        const std::uint64_t nh = and_popcount(scratch.n1, normal.row(k));
-        best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-      }
+      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, p.j + 1,
+                  [&](std::uint32_t k) { return base_rank + tetrahedral(k); });
       if (stats) {
         stats->word_ops += (1 + inner) * (wt + wn);
         stats->global_words += 2 * (wt + wn) + inner * (wt + wn);
@@ -345,7 +334,7 @@ EvalResult eval3_1x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
     const auto i = static_cast<std::uint32_t>(lambda);
@@ -356,12 +345,9 @@ EvalResult eval3_1x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
         and_rows(scratch.n1, normal.row(i), normal.row(j));
         ++nj;
         const std::uint64_t base_rank = i + triangular(j);
-        for (std::uint32_t k = j + 1; k < genes; ++k) {
-          const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(k));
-          const std::uint64_t nh = and_popcount(scratch.n1, normal.row(k));
-          best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-          ++inner;
-        }
+        scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, j + 1,
+                    [&](std::uint32_t k) { return base_rank + tetrahedral(k); });
+        inner += genes - 1 - j;
       }
       if (stats) {
         stats->word_ops += (nj + inner) * (wt + wn);

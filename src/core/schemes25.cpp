@@ -20,6 +20,7 @@ using detail::Scratch;
 using detail::advance_pair;
 using detail::advance_quad;
 using detail::advance_triple;
+using detail::scan_staged;
 
 // ---------------------------------------------------------------------------
 // 2-hit kernels
@@ -33,7 +34,7 @@ EvalResult eval2_1x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
   const bool prefetch = opts.prefetch_i || opts.prefetch_j;
 
   for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
@@ -41,18 +42,17 @@ EvalResult eval2_1x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
     const std::uint64_t inner = genes - 1 - i;
     if (inner == 0) continue;
 
-    std::span<const std::uint64_t> row_ti = tumor.row(i);
-    std::span<const std::uint64_t> row_ni = normal.row(i);
+    const auto rank_of = [&](std::uint32_t j) { return std::uint64_t{i} + triangular(j); };
     if (prefetch) {
-      std::copy(row_ti.begin(), row_ti.end(), scratch.t1.begin());
-      std::copy(row_ni.begin(), row_ni.end(), scratch.n1.begin());
-      row_ti = scratch.t1;
-      row_ni = scratch.n1;
-    }
-    for (std::uint32_t j = i + 1; j < genes; ++j) {
-      const std::uint64_t tp = and_popcount(row_ti, tumor.row(j));
-      const std::uint64_t nh = and_popcount(row_ni, normal.row(j));
-      best.consider(tp, nh, [&] { return static_cast<std::uint64_t>(i) + triangular(j); });
+      std::ranges::copy(tumor.row(i), scratch.t1.begin());
+      std::ranges::copy(normal.row(i), scratch.n1.begin());
+      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, i + 1, rank_of);
+    } else {
+      for (std::uint32_t j = i + 1; j < genes; ++j) {
+        const std::uint64_t tp = and_popcount(tumor.row(i), tumor.row(j));
+        const std::uint64_t nh = and_popcount(normal.row(i), normal.row(j));
+        best.consider(tp, nh, [&] { return rank_of(j); });
+      }
     }
     if (stats) {
       stats->combinations += inner;
@@ -102,7 +102,7 @@ EvalResult eval5_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   Quad q = begin < end ? unrank_quad(begin) : Quad{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_quad(q)) {
@@ -114,11 +114,8 @@ EvalResult eval5_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
       const std::uint32_t fixed[4] = {q.i, q.j, q.k, q.l};
       tumor.combine_rows(fixed, scratch.t1);
       normal.combine_rows(fixed, scratch.n1);
-      for (std::uint32_t m = q.l + 1; m < genes; ++m) {
-        const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(m));
-        const std::uint64_t nh = and_popcount(scratch.n1, normal.row(m));
-        best.consider(tp, nh, [&] { return base_rank + quintic(m); });
-      }
+      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, q.l + 1,
+                  [&](std::uint32_t m) { return base_rank + quintic(m); });
       if (stats) {
         stats->word_ops += 3 * (wt + wn) + inner * (wt + wn);
         stats->global_words += 4 * (wt + wn) + inner * (wt + wn);
@@ -171,7 +168,7 @@ EvalResult eval5_3x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
   BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+  Scratch scratch(tumor, normal, arena);
 
   Triple t = begin < end ? unrank_triple(begin) : Triple{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_triple(t)) {
@@ -190,12 +187,9 @@ EvalResult eval5_3x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
         and_rows(scratch.t2, scratch.t1, tumor.row(l));
         and_rows(scratch.n2, scratch.n1, normal.row(l));
         const std::uint64_t rank_ijkl = base_rank + quartic(l);
-        for (std::uint32_t m = l + 1; m < genes; ++m) {
-          const std::uint64_t tp = and_popcount(scratch.t2, tumor.row(m));
-          const std::uint64_t nh = and_popcount(scratch.n2, normal.row(m));
-          best.consider(tp, nh, [&] { return rank_ijkl + quintic(m); });
-          ++inner;
-        }
+        scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, l + 1,
+                    [&](std::uint32_t m) { return rank_ijkl + quintic(m); });
+        inner += genes - 1 - l;
       }
       if (stats) {
         const std::uint64_t nl = genes - 2 - t.k;

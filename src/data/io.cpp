@@ -1,10 +1,20 @@
 #include "data/io.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace multihit {
+
+namespace {
+// Largest matrix read_dataset will allocate, in 64-bit words per matrix
+// (2 GiB): a header is checked against it before any row is read, so a
+// corrupt or hostile header fails with a diagnosis instead of an allocation.
+constexpr std::uint64_t kMaxMatrixWords = std::uint64_t{1} << 28;
+}  // namespace
 
 void write_dataset(std::ostream& out, const Dataset& data) {
   out << "multihit-dataset v1\n";
@@ -52,11 +62,35 @@ Dataset read_dataset(std::istream& in) {
     return line.substr(key.size() + 1);
   };
 
+  // Header counts are plain decimal u32s; range is checked before the cast.
+  auto expect_u32 = [&](const std::string& key) -> std::uint32_t {
+    const std::string text = expect_kv(key);
+    std::uint64_t value = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec == std::errc::invalid_argument || end != last) {
+      fail(key + " is not a count: '" + text + "'");
+    }
+    constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+    if (ec == std::errc::result_out_of_range || value > kMax) {
+      fail(key + " " + text + " exceeds " + std::to_string(kMax));
+    }
+    return static_cast<std::uint32_t>(value);
+  };
+
   data.name = expect_kv("name");
-  genes = static_cast<std::uint32_t>(std::stoul(expect_kv("genes")));
-  tumor_samples = static_cast<std::uint32_t>(std::stoul(expect_kv("tumor-samples")));
-  normal_samples = static_cast<std::uint32_t>(std::stoul(expect_kv("normal-samples")));
-  planted_count = std::stoul(expect_kv("planted"));
+  genes = expect_u32("genes");
+  tumor_samples = expect_u32("tumor-samples");
+  normal_samples = expect_u32("normal-samples");
+  planted_count = expect_u32("planted");
+
+  for (const std::uint32_t samples : {tumor_samples, normal_samples}) {
+    const std::uint64_t words = (std::uint64_t{samples} + 63) / 64;
+    if (words != 0 && genes > kMaxMatrixWords / words) {
+      fail("genes x samples (" + std::to_string(genes) + " x " + std::to_string(samples) +
+           ") exceeds the " + std::to_string(kMaxMatrixWords) + "-word matrix cap");
+    }
+  }
 
   data.tumor = BitMatrix(genes, tumor_samples);
   data.normal = BitMatrix(genes, normal_samples);

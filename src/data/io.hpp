@@ -17,7 +17,9 @@ namespace multihit {
 /// Serializes `data` to `out`. Throws std::ios_base::failure on I/O error.
 void write_dataset(std::ostream& out, const Dataset& data);
 
-/// Parses a dataset; throws std::runtime_error on malformed input.
+/// Parses a dataset; throws std::runtime_error on malformed input, including
+/// a header count above UINT32_MAX or a genes x samples matrix beyond 2^28
+/// words (2 GiB), both rejected before anything is allocated.
 Dataset read_dataset(std::istream& in);
 
 /// File-path conveniences.

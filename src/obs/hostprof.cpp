@@ -38,6 +38,7 @@ constexpr OpField kOpFields[] = {
     {"and_rows_inplace", &HostBitopsCalls::and_rows_inplace},
     {"andnot2", &HostBitopsCalls::andnot2},
     {"andnot_rows", &HostBitopsCalls::andnot_rows},
+    {"and_popcount_rows", &HostBitopsCalls::and_popcount_rows},
 };
 
 JsonValue calls_json(const HostBitopsCalls& calls) {

@@ -68,10 +68,11 @@ struct HostBitopsCalls {
   std::uint64_t and_rows_inplace = 0;
   std::uint64_t andnot2 = 0;
   std::uint64_t andnot_rows = 0;
+  std::uint64_t and_popcount_rows = 0;
 
   std::uint64_t total() const noexcept {
     return popcount_row + and2 + and3 + and4 + and_rows + and_rows_inplace + andnot2 +
-           andnot_rows;
+           andnot_rows + and_popcount_rows;
   }
   HostBitopsCalls& operator+=(const HostBitopsCalls& other) noexcept {
     popcount_row += other.popcount_row;
@@ -82,6 +83,7 @@ struct HostBitopsCalls {
     and_rows_inplace += other.and_rows_inplace;
     andnot2 += other.andnot2;
     andnot_rows += other.andnot_rows;
+    and_popcount_rows += other.and_popcount_rows;
     return *this;
   }
 };

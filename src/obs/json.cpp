@@ -177,8 +177,15 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion level per container: cap the nesting so a hostile
+        // '[[[[...' document fails to parse instead of overflowing the stack.
+        if (++depth_ > kMaxDepth) fail("containers nested too deeply");
+        JsonValue value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return JsonValue(parse_string());
       case 't': expect_literal("true"); return JsonValue(true);
       case 'f': expect_literal("false"); return JsonValue(false);
@@ -289,8 +296,11 @@ class Parser {
     return JsonValue(value);
   }
 
+  static constexpr std::size_t kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers currently open
 };
 
 }  // namespace

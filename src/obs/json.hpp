@@ -91,7 +91,7 @@ class JsonValue {
   std::string dump() const;
 
   /// Parses a complete JSON document (throws JsonParseError on malformed
-  /// input or trailing garbage).
+  /// input, trailing garbage, or containers nested more than 512 deep).
   static JsonValue parse(std::string_view text);
 
  private:

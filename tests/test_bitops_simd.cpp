@@ -9,14 +9,16 @@
 // all-ones, alternating, single-bit, seeded random — carry-save adders and
 // nibble LUTs fail differently on dense vs sparse inputs).
 //
-// Dispatch behaviour (parse/set/active/backend_supported) and the debug-mode
-// length contract (mismatched spans must abort, not truncate) are covered at
-// the bottom.
+// The batched and_popcount_rows primitive gets its own sweep over row width,
+// span offset and block size (0, 1 and a gene count's worth of rows). Dispatch behaviour
+// (parse/set/active/backend_supported) and the debug-mode length contract
+// (mismatched spans must abort, not truncate) are covered at the bottom.
 
 #include "bitmat/bitops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -167,6 +169,75 @@ TEST_F(BitopsSimd, RandomRegressionSweepWithDenseAndSparseMixes) {
   }
 }
 
+/// A staged prefix and a block of `count` rows, each at word offset
+/// `offset` into its backing buffer.
+struct RowBlock {
+  std::vector<std::uint64_t> buf_pre, buf_rows;
+  std::span<const std::uint64_t> pre, rows;
+
+  RowBlock(std::size_t words, std::size_t count, std::size_t offset, Pattern p) {
+    buf_pre.resize(words + offset);
+    buf_rows.resize(words * count + offset);
+    fill({buf_pre.data() + offset, words}, p, 5);
+    for (std::size_t r = 0; r < count; ++r) {
+      fill({buf_rows.data() + offset + r * words, words}, p, 6 + r);
+    }
+    pre = std::span<const std::uint64_t>(buf_pre).subspan(offset, words);
+    rows = std::span<const std::uint64_t>(buf_rows).subspan(offset, words * count);
+  }
+};
+
+/// Scalar, AVX2 and dispatched (under both backends) and_popcount_rows all
+/// equal a per-row and_popcount2 loop over the same block.
+void expect_rows_identical(const RowBlock& b, std::size_t count, const std::string& label) {
+  const std::size_t words = b.pre.size();
+  std::vector<std::uint32_t> want(count);
+  for (std::size_t r = 0; r < count; ++r) {
+    want[r] = static_cast<std::uint32_t>(
+        bitops_scalar::and_popcount2(b.pre, b.rows.subspan(r * words, words)));
+  }
+  // Sentinel-filled one past the end: the kernels must write exactly `count`.
+  std::vector<std::uint32_t> got(count + 1, 0xdeadbeef);
+  const std::span<std::uint32_t> out(got.data(), count);
+  const auto check = [&](const char* path) {
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin())) << label << " " << path;
+    EXPECT_EQ(got[count], 0xdeadbeefu) << label << " " << path << " wrote past out";
+    std::fill(got.begin(), got.begin() + static_cast<std::ptrdiff_t>(count), 0xdeadbeef);
+  };
+  bitops_scalar::and_popcount_rows(b.pre, b.rows, out);
+  check("scalar");
+  bitops_avx2::and_popcount_rows(b.pre, b.rows, out);
+  check("avx2");
+  const BitopsBackend previous = active_backend();
+  for (const BitopsBackend backend : {BitopsBackend::kScalar, BitopsBackend::kAvx2}) {
+    set_backend(backend);
+    and_popcount_rows(b.pre, b.rows, out);
+    check(backend_name(backend));
+  }
+  set_backend(previous);
+}
+
+TEST_F(BitopsSimd, AndPopcountRowsEveryWidthOffsetAndCountMatchesPerRowLoop) {
+  // 0..130 words crosses the sub-vector tail, the 4-word vector step and the
+  // 64-word Harley-Seal boundary (rows >= 64 words leave the short path).
+  // 99 rows is the largest block at G=100 (rows 1..99): 24 four-row groups
+  // plus a three-row remainder.
+  for (std::size_t words = 0; words <= 130; ++words) {
+    for (const Pattern p : {Pattern::kOnes, Pattern::kSingleBit, Pattern::kRandom}) {
+      for (const std::size_t offset : {0, 1, 3}) {
+        for (const std::size_t count : {0, 1, 99}) {
+          const RowBlock block(words, count, offset, p);
+          expect_rows_identical(block, count,
+                                "words=" + std::to_string(words) + " pattern=" +
+                                    pattern_name(p) + " offset=" + std::to_string(offset) +
+                                    " count=" + std::to_string(count));
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(BitopsSimd, DispatchedEntryPointsFollowSetBackend) {
   const BitopsBackend previous = active_backend();
   std::vector<std::uint64_t> a(17), b(17);
@@ -210,7 +281,8 @@ TEST(BitopsDispatch, CallCountingCountsDispatchedCallsOnly) {
   const BitopsBackend backend_before = active_backend();
   ASSERT_FALSE(call_counting());
 
-  std::vector<std::uint64_t> a(9), b(9), c(9), d(9), dst(9);
+  std::vector<std::uint64_t> a(9), b(9), c(9), d(9), dst(9), rows(27);
+  std::vector<std::uint32_t> counts(3);
   fill(a, Pattern::kRandom, 31);
   fill(b, Pattern::kRandom, 32);
   fill(c, Pattern::kRandom, 33);
@@ -234,6 +306,7 @@ TEST(BitopsDispatch, CallCountingCountsDispatchedCallsOnly) {
   and_rows(dst, a, b);
   and_rows_inplace(dst, c);
   andnot_rows(dst, a, b);
+  and_popcount_rows(a, rows, counts);
   const BitopsCallCounts delta = thread_bitops_calls() - t0;
   EXPECT_EQ(delta.popcount_row, 1u);
   EXPECT_EQ(delta.and2, 1u);
@@ -243,7 +316,8 @@ TEST(BitopsDispatch, CallCountingCountsDispatchedCallsOnly) {
   EXPECT_EQ(delta.and_rows, 1u);
   EXPECT_EQ(delta.and_rows_inplace, 1u);
   EXPECT_EQ(delta.andnot_rows, 1u);
-  EXPECT_EQ(delta.total(), 8u);
+  EXPECT_EQ(delta.and_popcount_rows, 1u);
+  EXPECT_EQ(delta.total(), 9u);
 
   // Counted results match uncounted ones (the wrappers only forward).
   const std::uint64_t counted = and_popcount(a, b);
@@ -297,6 +371,12 @@ TEST(BitopsContractDeathTest, MismatchedSpanLengthsAbort) {
   EXPECT_DEATH(and_rows(dst, a, c), "span length mismatch");
   EXPECT_DEATH(and_rows_inplace(dst, a), "span length mismatch");
   EXPECT_DEATH(andnot_rows(dst, a, c), "span length mismatch");
+  // and_popcount_rows: rows must be exactly out.size() rows of pre.size().
+  const std::vector<std::uint64_t> rows(4 * 3 + 1);
+  std::vector<std::uint32_t> counts(3);
+  EXPECT_DEATH(and_popcount_rows(a, rows, counts), "and_popcount_rows span length mismatch");
+  EXPECT_DEATH(and_popcount_rows(a, std::span(rows).first(8), counts),
+               "span length mismatch");
 }
 #else
 TEST(BitopsContractDeathTest, MismatchedSpanLengthsAbort) {

@@ -187,8 +187,23 @@ TEST(HostProf, CallCountsAreDispatchLevelIdenticalAcrossThreadCounts) {
       EXPECT_EQ(calls.total(), reference.total()) << "threads=" << threads;
       EXPECT_EQ(calls.and2, reference.and2);
       EXPECT_EQ(calls.andnot2, reference.andnot2);
+      EXPECT_EQ(calls.and_popcount_rows, reference.and_popcount_rows);
     }
   }
+}
+
+TEST(HostProf, StagedSweepDispatchesOncePerPrefixAndMatrix) {
+  // The default sweep stages (MemOpt2): 2-hit 1x1 scores each row i's block
+  // of rows j > i with one batched call per matrix, and never falls back to
+  // a per-combination and_popcount.
+  const Fixture f = make_fixture(2, 707);
+  HostProfiler profiler;
+  (void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
+                             sweep_options(2, 2, 5, &profiler));
+  const obs::HostBitopsCalls& calls = profiler.profile().total_calls;
+  const std::uint64_t prefixes = f.data.tumor.genes() - 1;  // the last i has no j above it
+  EXPECT_EQ(calls.and_popcount_rows, 2 * prefixes);
+  EXPECT_EQ(calls.and2, 0u);
 }
 
 TEST(HostProf, CountBitopsOptOutLeavesCallTablesAlone) {

@@ -69,6 +69,40 @@ TEST(DatasetIo, RejectsMissingEnd) {
   EXPECT_THROW(read_dataset(buffer), std::runtime_error);
 }
 
+std::string header(const std::string& genes, const std::string& tumor) {
+  return "multihit-dataset v1\nname x\ngenes " + genes + "\ntumor-samples " + tumor +
+         "\nnormal-samples 2\nplanted 0\nend\n";
+}
+
+std::string read_error(const std::string& text) {
+  std::stringstream buffer(text);
+  try {
+    (void)read_dataset(buffer);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DatasetIo, RejectsHeaderCountsAboveU32) {
+  // 2^32 + 3 used to truncate to 3 genes through an unchecked cast.
+  EXPECT_NE(read_error(header("4294967299", "2")).find("genes 4294967299 exceeds 4294967295"),
+            std::string::npos);
+  EXPECT_NE(read_error(header("3", "99999999999999999999999")).find("tumor-samples"),
+            std::string::npos);
+  EXPECT_NE(read_error(header("-1", "2")).find("genes is not a count"), std::string::npos);
+  EXPECT_NE(read_error(header("3x", "2")).find("genes is not a count"), std::string::npos);
+  EXPECT_NE(read_error(header("", "2")).find("genes is not a count"), std::string::npos);
+}
+
+TEST(DatasetIo, RejectsOversizedMatrixBeforeAllocating) {
+  // 4294967295 x 4294967295 would ask for ~2^58 words before reading a row.
+  EXPECT_NE(read_error(header("4294967295", "4294967295")).find("matrix cap"),
+            std::string::npos);
+  // One gene past the cap: 16385 genes x 2^14 words per row > 2^28 words.
+  EXPECT_NE(read_error(header("16385", "1048576")).find("matrix cap"), std::string::npos);
+}
+
 TEST(DatasetIo, FileRoundTrip) {
   const Dataset original = sample_dataset();
   const std::string path = testing::TempDir() + "/multihit_io_test.txt";

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "cluster/distributed.hpp"
 #include "data/generator.hpp"
@@ -48,6 +49,22 @@ TEST(ObsJson, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("\"unterminated"), obs::JsonParseError);
   EXPECT_THROW(JsonValue::parse("nul"), obs::JsonParseError);
   EXPECT_THROW(JsonValue::parse("{} trailing"), obs::JsonParseError);
+}
+
+TEST(ObsJson, ParseCapsContainerNestingAt512) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(JsonValue::parse(nested(512, '[', ']')));
+  EXPECT_THROW(JsonValue::parse(nested(513, '[', ']')), obs::JsonParseError);
+  // Objects count toward the same cap, interleaved with arrays.
+  std::string mixed;
+  for (int level = 0; level < 300; ++level) mixed += "{\"k\":[";
+  mixed += "0";
+  for (int level = 0; level < 300; ++level) mixed += "]}";
+  EXPECT_THROW(JsonValue::parse(mixed), obs::JsonParseError);
+  // Far past the cap fails the same way instead of exhausting the stack.
+  EXPECT_THROW(JsonValue::parse(std::string(200000, '[')), obs::JsonParseError);
 }
 
 TEST(ObsJson, ObjectsPreserveInsertionOrder) {

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "combinat/binomial.hpp"
 #include "combinat/unrank.hpp"
 #include "core/serial.hpp"
 #include "data/generator.hpp"
+#include "gpusim/analytic.hpp"
+#include "util/rng.hpp"
 
 namespace multihit {
 namespace {
@@ -226,6 +231,150 @@ TEST(Schemes, TieBreakPicksLowestRank) {
     EXPECT_EQ(r.combo_rank, 0u) << scheme_name(scheme);  // {0,1,2,3}
   }
 }
+
+// --- staged-scan differential ------------------------------------------------
+//
+// Every staged (MemOpt2) inner loop scores its rows through one batched
+// and_popcount_rows call per staged prefix. Pin each staged scheme, over
+// randomly chunked λ ranges with and without an Arena, to the serial
+// reference (winner, F, TP, TN) and the analytic model (KernelStats), and
+// each single thread λ to the per-combination MemOpt-off path.
+
+struct StagedScheme {
+  std::uint32_t hits;
+  int scheme;  ///< enumerator of Scheme2/3/4/5 for `hits`
+  std::uint32_t genes;
+};
+
+void PrintTo(const StagedScheme& s, std::ostream* os) {
+  *os << s.hits << "-hit scheme " << s.scheme << " at G=" << s.genes;
+}
+
+u64 staged_threads(const StagedScheme& s) {
+  switch (s.hits) {
+    case 2: return scheme2_threads(static_cast<Scheme2>(s.scheme), s.genes);
+    case 3: return scheme3_threads(static_cast<Scheme3>(s.scheme), s.genes);
+    case 4: return scheme4_threads(static_cast<Scheme4>(s.scheme), s.genes);
+    default: return scheme5_threads(static_cast<Scheme5>(s.scheme), s.genes);
+  }
+}
+
+EvalResult staged_eval(const StagedScheme& s, const Dataset& d, const FContext& ctx, u64 begin,
+                       u64 end, const MemOpts& opts, KernelStats* stats, Arena* arena) {
+  switch (s.hits) {
+    case 2:
+      return evaluate_range_2hit(d.tumor, d.normal, ctx, static_cast<Scheme2>(s.scheme), begin,
+                                 end, opts, stats, arena);
+    case 3:
+      return evaluate_range_3hit(d.tumor, d.normal, ctx, static_cast<Scheme3>(s.scheme), begin,
+                                 end, opts, stats, arena);
+    case 4:
+      return evaluate_range_4hit(d.tumor, d.normal, ctx, static_cast<Scheme4>(s.scheme), begin,
+                                 end, opts, stats, arena);
+    default:
+      return evaluate_range_5hit(d.tumor, d.normal, ctx, static_cast<Scheme5>(s.scheme), begin,
+                                 end, opts, stats, arena);
+  }
+}
+
+KernelStats staged_analytic(const StagedScheme& s, u64 end, const MemOpts& opts,
+                            const Dataset& d) {
+  const std::uint32_t wt = d.tumor.words_per_row();
+  const std::uint32_t wn = d.normal.words_per_row();
+  switch (s.hits) {
+    case 2: return analytic_stats_2hit(static_cast<Scheme2>(s.scheme), s.genes, 0, end, opts, wt, wn);
+    case 3: return analytic_stats_3hit(static_cast<Scheme3>(s.scheme), s.genes, 0, end, opts, wt, wn);
+    case 4: return analytic_stats_4hit(static_cast<Scheme4>(s.scheme), s.genes, 0, end, opts, wt, wn);
+    default: return analytic_stats_5hit(static_cast<Scheme5>(s.scheme), s.genes, 0, end, opts, wt, wn);
+  }
+}
+
+void expect_same_winner(const EvalResult& got, const EvalResult& want, const std::string& label) {
+  ASSERT_EQ(got.valid, want.valid) << label;
+  EXPECT_EQ(got.combo_rank, want.combo_rank) << label;
+  EXPECT_EQ(got.f, want.f) << label;
+  EXPECT_EQ(got.tp, want.tp) << label;
+  EXPECT_EQ(got.tn, want.tn) << label;
+}
+
+class StagedScanDifferential : public ::testing::TestWithParam<StagedScheme> {};
+
+TEST_P(StagedScanDifferential, ChunkedRangesMatchSerialMemOptOffAndAnalytic) {
+  const StagedScheme s = GetParam();
+  Rng rng(9000 + 10 * s.hits + static_cast<u64>(s.scheme));
+  for (int trial = 0; trial < 4; ++trial) {
+    // Sample counts spread row widths over 1..5 words; a sparse background
+    // leaves many equal-F combinations, so the rank tie-break is exercised.
+    SyntheticSpec spec;
+    spec.genes = s.genes;
+    spec.tumor_samples = 20 + static_cast<std::uint32_t>(rng.uniform(300));
+    spec.normal_samples = 20 + static_cast<std::uint32_t>(rng.uniform(200));
+    spec.hits = s.hits;
+    spec.num_combinations = 2;
+    spec.background_rate = trial % 2 == 0 ? 0.01 : 0.25;
+    spec.seed = rng();
+    const Dataset d = generate_dataset(spec);
+    const FContext ctx{FParams{}, spec.tumor_samples, spec.normal_samples};
+    const std::string label = "hits=" + std::to_string(s.hits) + " trial=" + std::to_string(trial);
+
+    const u64 total = staged_threads(s);
+    const EvalResult serial = serial_find_best(d.tumor, d.normal, ctx, s.hits);
+    const EvalResult off = staged_eval(s, d, ctx, 0, total, {}, nullptr, nullptr);
+    expect_same_winner(off, serial, label + " memopt-off");
+
+    std::vector<u64> cuts = {0, total};
+    for (int c = 0; c < 6; ++c) cuts.push_back(rng.uniform(total + 1));
+    std::sort(cuts.begin(), cuts.end());
+    const MemOpts staged{.prefetch_i = trial % 2 == 1, .prefetch_j = true};
+    const KernelStats analytic = staged_analytic(s, total, staged, d);
+    for (const bool use_arena : {false, true}) {
+      Arena arena;
+      EvalResult merged;
+      KernelStats stats;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        arena.reset();
+        merged = merge_results(merged, staged_eval(s, d, ctx, cuts[c], cuts[c + 1], staged,
+                                                   &stats, use_arena ? &arena : nullptr));
+      }
+      const std::string where = label + (use_arena ? " arena" : " heap");
+      expect_same_winner(merged, serial, where);
+      EXPECT_EQ(stats.combinations, analytic.combinations) << where;
+      EXPECT_EQ(stats.word_ops, analytic.word_ops) << where;
+      EXPECT_EQ(stats.global_words, analytic.global_words) << where;
+      EXPECT_EQ(stats.local_words, analytic.local_words) << where;
+      EXPECT_EQ(stats.distinct_rows, analytic.distinct_rows) << where;
+    }
+    // Thread by thread, the staged scan picks what the per-combination path
+    // picks: a scan that drops or shifts a row shows up in some thread's
+    // winner even when the global winner lies elsewhere.
+    for (u64 lambda = 0; lambda < total; ++lambda) {
+      expect_same_winner(staged_eval(s, d, ctx, lambda, lambda + 1, staged, nullptr, nullptr),
+                         staged_eval(s, d, ctx, lambda, lambda + 1, {}, nullptr, nullptr),
+                         label + " lambda=" + std::to_string(lambda));
+      if (HasFailure()) return;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStagedSchemes, StagedScanDifferential,
+    ::testing::Values(StagedScheme{2, static_cast<int>(Scheme2::k1x1), 40},
+                      StagedScheme{3, static_cast<int>(Scheme3::k1x2), 26},
+                      StagedScheme{3, static_cast<int>(Scheme3::k2x1), 26},
+                      StagedScheme{4, static_cast<int>(Scheme4::k1x3), 18},
+                      StagedScheme{4, static_cast<int>(Scheme4::k2x2), 18},
+                      StagedScheme{4, static_cast<int>(Scheme4::k3x1), 18},
+                      StagedScheme{5, static_cast<int>(Scheme5::k3x2), 14},
+                      StagedScheme{5, static_cast<int>(Scheme5::k4x1), 14}),
+    [](const auto& info) {
+      const StagedScheme& s = info.param;
+      const char* name = s.hits == 2   ? scheme_name(static_cast<Scheme2>(s.scheme))
+                         : s.hits == 3 ? scheme_name(static_cast<Scheme3>(s.scheme))
+                         : s.hits == 4 ? scheme_name(static_cast<Scheme4>(s.scheme))
+                                       : scheme_name(static_cast<Scheme5>(s.scheme));
+      return "h" + std::to_string(s.hits) + "_" + name;
+    });
 
 TEST(Schemes, NamesAreStable) {
   EXPECT_STREQ(scheme_name(Scheme4::k2x2), "2x2");

@@ -75,9 +75,13 @@ done
 cmp "$obs_dir/bitops_scalar.stdout.norm" "$obs_dir/bitops_auto.stdout.norm"
 # The host-threaded sweep prints real wall-clock (not byte-comparable), but
 # the binary itself exits non-zero unless its selections are identical to
-# the serial and distributed references — run it under both backends.
+# the serial and distributed references — run it under both backends, on
+# one worker, two, and four (the prefix bound must not depend on how chunks
+# land on workers).
 for backend in scalar auto; do
-  MULTIHIT_BITOPS="$backend" build/examples/brca_scaleout 1 --host-threads 2 > /dev/null
+  for threads in 1 2 4; do
+    MULTIHIT_BITOPS="$backend" build/examples/brca_scaleout 1 --host-threads "$threads" > /dev/null
+  done
 done
 echo "bitops backends byte-identical (scalar vs auto), threaded sweep pinned"
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bitmat/bitops.hpp"
+#include "combinat/unrank.hpp"
 #include "core/arena.hpp"
 #include "core/workqueue.hpp"
 #include "obs/hostprof.hpp"
@@ -41,9 +42,11 @@ struct Candidate {
   EvalResult result;
 };
 
-/// Everything one worker produces; padded out by vector element granularity,
-/// written only by its owner until join.
-struct WorkerOutput {
+/// Everything one worker produces, written only by its owner until join.
+/// The kernels bump `stats` once per λ, and a λ whose prefix the bound skips
+/// costs only nanoseconds, so each output gets its own cache line: false
+/// sharing between neighbours in the vector would serialize the workers.
+struct alignas(64) WorkerOutput {
   std::vector<Candidate> candidates;
   KernelStats stats;
   std::uint64_t chunks = 0;
@@ -67,20 +70,21 @@ std::uint64_t total_threads(const HostSweepOptions& options, std::uint32_t genes
 
 EvalResult evaluate_chunk(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           const HostSweepOptions& options, std::uint64_t begin,
-                          std::uint64_t end, KernelStats* stats, Arena* arena) {
+                          std::uint64_t end, KernelStats* stats, Arena* arena,
+                          const EvalResult& pilot) {
   switch (options.hits) {
     case 2:
       return evaluate_range_2hit(tumor, normal, ctx, options.scheme2, begin, end,
-                                 options.mem_opts, stats, arena);
+                                 options.mem_opts, stats, arena, pilot);
     case 3:
       return evaluate_range_3hit(tumor, normal, ctx, options.scheme3, begin, end,
-                                 options.mem_opts, stats, arena);
+                                 options.mem_opts, stats, arena, pilot);
     case 4:
       return evaluate_range_4hit(tumor, normal, ctx, options.scheme4, begin, end,
-                                 options.mem_opts, stats, arena);
+                                 options.mem_opts, stats, arena, pilot);
     case 5:
       return evaluate_range_5hit(tumor, normal, ctx, options.scheme5, begin, end,
-                                 options.mem_opts, stats, arena);
+                                 options.mem_opts, stats, arena, pilot);
     default:
       // total_threads() already rejected every hit count outside [2, 5]; a
       // bare default routing here to the 5-hit kernel once silently scored
@@ -91,6 +95,40 @@ EvalResult evaluate_chunk(const BitMatrix& tumor, const BitMatrix& normal, const
 
 }  // namespace
 
+EvalResult pilot_incumbent(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                           std::uint32_t hits) {
+  const std::uint32_t genes = tumor.genes();
+  if (hits == 0 || genes < hits) return {};
+  std::vector<std::uint32_t> combo;
+  combo.reserve(hits);
+  // All ones, so the first step picks the row with the largest popcount.
+  std::vector<std::uint64_t> prefix(tumor.words_per_row(), ~std::uint64_t{0});
+  while (combo.size() < hits) {
+    std::uint32_t pick = genes;
+    std::uint64_t pick_tp = 0;
+    for (std::uint32_t g = 0; g < genes; ++g) {
+      if (std::ranges::find(combo, g) != combo.end()) continue;
+      const std::uint64_t tp = and_popcount(prefix, tumor.row(g));
+      if (pick == genes || tp > pick_tp) {
+        pick = g;
+        pick_tp = tp;
+      }
+    }
+    and_rows_inplace(prefix, tumor.row(pick));
+    combo.push_back(pick);
+  }
+  std::ranges::sort(combo);
+  const std::uint64_t tp = tumor.intersect_count(combo);
+  const std::uint64_t nh = normal.intersect_count(combo);
+  EvalResult pilot;
+  pilot.valid = true;
+  pilot.f = f_score(ctx, tp, nh);
+  pilot.combo_rank = rank_combination(combo);
+  pilot.tp = tp;
+  pilot.tn = ctx.normal_total - nh;
+  return pilot;
+}
+
 EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
                                 const FContext& ctx, const HostSweepOptions& options,
                                 HostSweepTelemetry* telemetry) {
@@ -98,6 +136,10 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     throw std::invalid_argument("host sweep: tumor/normal gene counts differ");
   }
   const std::uint64_t lambda_end = total_threads(options, tumor.genes());
+  // Every chunk starts from the same pilot, so which staged prefixes the
+  // bound skips (and so the dispatched call counts) depends only on the
+  // pilot and the chunk's own λ range, never on worker timing.
+  const EvalResult pilot = pilot_incumbent(tumor, normal, ctx, options.hits);
 
   std::uint32_t workers = options.threads;
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
@@ -130,7 +172,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
         // block — per-chunk allocation drops to zero after the first grab.
         arena.reset();
         const EvalResult best =
-            evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena);
+            evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena, pilot);
         ++out.chunks;
         if (best.valid) out.candidates.push_back({begin, best});
       }
@@ -141,7 +183,9 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     // Profiled variant of the same loop: two steady_clock reads per chunk
     // (claim edge, evaluate edge) feed the claim-latency histogram and the
     // busy/idle split; everything that decides the selection is untouched.
-    obs::HostWorkerSample& sample = samples[id];
+    // The sample is filled locally and stored once, off the shared vector's
+    // cache lines.
+    obs::HostWorkerSample sample;
     const BitopsCallCounts calls_before = thread_bitops_calls();
     Clock::time_point mark = Clock::now();
     for (;;) {
@@ -158,7 +202,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
       }
       arena.reset();
       const EvalResult best =
-          evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena);
+          evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena, pilot);
       mark = Clock::now();
       sample.eval_seconds += seconds_between(claimed_at, mark);
       ++out.chunks;
@@ -183,6 +227,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     sample.arena_peak_words = arena.peak_words();
     sample.arena_capacity_words = arena.capacity_words();
     sample.arena_blocks = arena.block_allocations();
+    samples[id] = sample;
   };
 
   const Clock::time_point sweep_start = Clock::now();

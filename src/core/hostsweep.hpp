@@ -15,7 +15,11 @@
 // (F desc, rank asc) total order of EvalResult, selections are bit-identical
 // across thread counts, chunk sizes, and backends — pinned by
 // tests/test_hostsweep.cpp against both the serial reference and the
-// simulated-cluster path.
+// simulated-cluster path. Every chunk starts from the same pilot incumbent
+// (pilot_incumbent below) so the kernels' prefix bound skips work from the
+// first prefix on; workers share no running best, so which prefixes are
+// skipped, and every dispatched call count, is as deterministic as the
+// selection.
 
 #include <cstdint>
 
@@ -72,6 +76,14 @@ struct HostSweepTelemetry {
     return *this;
   }
 };
+
+/// The incumbent every sweep chunk starts from (see evaluate_range_4hit):
+/// one h-combination grown greedily, each step adding the gene whose row
+/// keeps the most tumor samples of the current prefix (lowest index on
+/// ties), scored with f_score and ranked with rank_combination. Invalid
+/// when tumor.genes() < hits.
+EvalResult pilot_incumbent(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                           std::uint32_t hits);
 
 /// One maxF evaluation over the full λ space of the scheme selected by
 /// options.hits, distributed over host threads. Requires

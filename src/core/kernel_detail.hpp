@@ -17,9 +17,21 @@ namespace multihit::detail {
 // Best-so-far tracker. F values are computed by the identical expression on
 // every path, so exact == comparison on doubles is sound here, and the
 // (F desc, rank asc) order makes every execution return the same winner.
+// Starting from an incumbent makes result() merge_results(incumbent, best of
+// the combinations considered).
 class BestTracker {
  public:
-  explicit BestTracker(const FContext& ctx) : ctx_(ctx) {}
+  explicit BestTracker(const FContext& ctx, const EvalResult& incumbent = {})
+      : ctx_(ctx), best_(incumbent) {}
+
+  // The prefix bound: false when no combination with at most `tp_max` tumor
+  // hits can beat the current best. f_score rises with tp and falls with
+  // normal hits under IEEE rounding too, so f_score(tp_max, 0) bounds every
+  // such combination from above. The test stays strict: an extension that
+  // ties best.f may still win on a lower rank.
+  bool can_improve(std::uint64_t tp_max) const noexcept {
+    return !best_.valid || !(f_score(ctx_, tp_max, 0) < best_.f);
+  }
 
   template <typename RankFn>
   void consider(std::uint64_t tp, std::uint64_t normal_hits, RankFn&& rank) noexcept {
@@ -111,6 +123,14 @@ void scan_staged(BestTracker& best, Scratch& scratch, const BitMatrix& tumor,
   for (std::uint32_t r = 0; r < count; ++r) {
     best.consider(tp[r], nh[r], [&] { return rank_of(first + r); });
   }
+}
+
+// Stages the prefix dst = a & b and returns its popcount, the argument of
+// BestTracker::can_improve.
+inline std::uint64_t stage_and(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
+                               std::span<const std::uint64_t> b) noexcept {
+  and_rows(dst, a, b);
+  return popcount_row(dst);
 }
 
 // Colex successor of a pair (i < j).

@@ -18,6 +18,7 @@ using detail::Scratch;
 using detail::advance_pair;
 using detail::advance_triple;
 using detail::scan_staged;
+using detail::stage_and;
 
 // ---------------------------------------------------------------------------
 // 4-hit kernels
@@ -26,11 +27,11 @@ using detail::scan_staged;
 // Thread = (i, j, k); inner loop over l (the paper's Algorithm 3).
 EvalResult eval4_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   Triple t = begin < end ? unrank_triple(begin) : Triple{};
@@ -41,12 +42,14 @@ EvalResult eval4_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
         t.i + triangular(t.j) + tetrahedral(t.k);  // + C(l,4) per combination
 
     if (opts.prefetch_j) {
-      // Stage the fixed rows fully combined: pre = row(i) & row(j) & row(k).
+      // Stage the fixed rows fully combined: pre = row(i) & row(j) & row(k),
+      // the normal side only when the tumor prefix leaves room to win.
       const std::uint32_t fixed[3] = {t.i, t.j, t.k};
-      tumor.combine_rows(fixed, scratch.t1);
-      normal.combine_rows(fixed, scratch.n1);
-      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, t.k + 1,
-                  [&](std::uint32_t l) { return base_rank + quartic(l); });
+      if (best.can_improve(tumor.combine_rows(fixed, scratch.t1))) {
+        normal.combine_rows(fixed, scratch.n1);
+        scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, t.k + 1,
+                    [&](std::uint32_t l) { return base_rank + quartic(l); });
+      }
       if (stats) {
         stats->word_ops += 2 * (wt + wn) + inner * (wt + wn);
         stats->global_words += 3 * (wt + wn) + inner * (wt + wn);
@@ -89,11 +92,11 @@ EvalResult eval4_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 // Thread = (i, j); inner loops over k, l (the paper's Algorithm 2).
 EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   Pair p = begin < end ? unrank_pair(begin) : Pair{};
@@ -103,20 +106,21 @@ EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
       continue;
     }
     const std::uint64_t base_rank = p.i + triangular(p.j);
-    std::uint64_t inner = 0;
+    const std::uint64_t inner = triangular(genes - 1 - p.j);
 
     if (opts.prefetch_j) {
       // Stage pre_ij once, then pre_ijk per k; the innermost loop is a
-      // single AND against row(l).
-      and_rows(scratch.t1, tumor.row(p.i), tumor.row(p.j));
-      and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
-      for (std::uint32_t k = p.j + 1; k + 1 < genes; ++k) {
-        and_rows(scratch.t2, scratch.t1, tumor.row(k));
-        and_rows(scratch.n2, scratch.n1, normal.row(k));
-        const std::uint64_t rank_ijk = base_rank + tetrahedral(k);
-        scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, k + 1,
-                    [&](std::uint32_t l) { return rank_ijk + quartic(l); });
-        inner += genes - 1 - k;
+      // single AND against row(l). A tumor prefix that cannot win skips its
+      // normal staging and everything below it.
+      if (best.can_improve(stage_and(scratch.t1, tumor.row(p.i), tumor.row(p.j)))) {
+        and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
+        for (std::uint32_t k = p.j + 1; k + 1 < genes; ++k) {
+          if (!best.can_improve(stage_and(scratch.t2, scratch.t1, tumor.row(k)))) continue;
+          and_rows(scratch.n2, scratch.n1, normal.row(k));
+          const std::uint64_t rank_ijk = base_rank + tetrahedral(k);
+          scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, k + 1,
+                      [&](std::uint32_t l) { return rank_ijk + quartic(l); });
+        }
       }
       if (stats) {
         const std::uint64_t nk = genes - 2 - p.j;
@@ -141,7 +145,6 @@ EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
           const std::uint64_t nh =
               and_popcount(row_ni, normal.row(p.j), normal.row(k), normal.row(l));
           best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-          ++inner;
         }
       }
       if (stats) {
@@ -163,31 +166,32 @@ EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 // Thread = i; inner loops over j, k, l.
 EvalResult eval4_1x3(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
     const auto i = static_cast<std::uint32_t>(lambda);
-    std::uint64_t inner = 0;
+    const std::uint64_t inner = tetrahedral(genes - 1 - i);
     if (opts.prefetch_j) {
-      // Stage progressively: pre_ij per j, pre_ijk per k, 1 AND per l.
+      // Stage progressively: pre_ij per j, pre_ijk per k, 1 AND per l; a
+      // tumor prefix that cannot win skips its normal staging and every
+      // level below it.
       std::uint64_t nj = 0, nk = 0;
       for (std::uint32_t j = i + 1; j + 2 < genes; ++j) {
-        and_rows(scratch.t1, tumor.row(i), tumor.row(j));
-        and_rows(scratch.n1, normal.row(i), normal.row(j));
         ++nj;
+        nk += genes - 2 - j;
+        if (!best.can_improve(stage_and(scratch.t1, tumor.row(i), tumor.row(j)))) continue;
+        and_rows(scratch.n1, normal.row(i), normal.row(j));
         for (std::uint32_t k = j + 1; k + 1 < genes; ++k) {
-          and_rows(scratch.t2, scratch.t1, tumor.row(k));
+          if (!best.can_improve(stage_and(scratch.t2, scratch.t1, tumor.row(k)))) continue;
           and_rows(scratch.n2, scratch.n1, normal.row(k));
-          ++nk;
           const std::uint64_t rank_ijk = i + triangular(j) + tetrahedral(k);
           scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, k + 1,
                       [&](std::uint32_t l) { return rank_ijk + quartic(l); });
-          inner += genes - 1 - k;
         }
       }
       if (stats) {
@@ -213,7 +217,6 @@ EvalResult eval4_1x3(const BitMatrix& tumor, const BitMatrix& normal, const FCon
             const std::uint64_t nh =
                 and_popcount(row_ni, normal.row(j), normal.row(k), normal.row(l));
             best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-            ++inner;
           }
         }
       }
@@ -235,10 +238,11 @@ EvalResult eval4_1x3(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 
 // Thread = one combination (i, j, k, l).
 EvalResult eval4_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, KernelStats* stats) {
+                     std::uint64_t begin, std::uint64_t end, KernelStats* stats,
+                     const EvalResult& incumbent) {
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
 
   std::array<std::uint32_t, 4> combo{};
   if (begin < end) {
@@ -270,11 +274,11 @@ EvalResult eval4_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 // Thread = (i, j); inner loop over k (the paper's Algorithm 1).
 EvalResult eval3_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   Pair p = begin < end ? unrank_pair(begin) : Pair{};
@@ -287,10 +291,11 @@ EvalResult eval3_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
     const std::uint64_t base_rank = p.i + triangular(p.j);
 
     if (opts.prefetch_j) {
-      and_rows(scratch.t1, tumor.row(p.i), tumor.row(p.j));
-      and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
-      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, p.j + 1,
-                  [&](std::uint32_t k) { return base_rank + tetrahedral(k); });
+      if (best.can_improve(stage_and(scratch.t1, tumor.row(p.i), tumor.row(p.j)))) {
+        and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
+        scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, p.j + 1,
+                    [&](std::uint32_t k) { return base_rank + tetrahedral(k); });
+      }
       if (stats) {
         stats->word_ops += (1 + inner) * (wt + wn);
         stats->global_words += 2 * (wt + wn) + inner * (wt + wn);
@@ -329,25 +334,25 @@ EvalResult eval3_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 // Thread = i; inner loops over j, k.
 EvalResult eval3_1x2(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
     const auto i = static_cast<std::uint32_t>(lambda);
-    std::uint64_t inner = 0, nj = 0;
+    const std::uint64_t inner = triangular(genes - 1 - i);
     if (opts.prefetch_j) {
+      std::uint64_t nj = 0;
       for (std::uint32_t j = i + 1; j + 1 < genes; ++j) {
-        and_rows(scratch.t1, tumor.row(i), tumor.row(j));
-        and_rows(scratch.n1, normal.row(i), normal.row(j));
         ++nj;
+        if (!best.can_improve(stage_and(scratch.t1, tumor.row(i), tumor.row(j)))) continue;
+        and_rows(scratch.n1, normal.row(i), normal.row(j));
         const std::uint64_t base_rank = i + triangular(j);
         scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, j + 1,
                     [&](std::uint32_t k) { return base_rank + tetrahedral(k); });
-        inner += genes - 1 - j;
       }
       if (stats) {
         stats->word_ops += (nj + inner) * (wt + wn);
@@ -369,7 +374,6 @@ EvalResult eval3_1x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
           const std::uint64_t tp = and_popcount(row_ti, tumor.row(j), tumor.row(k));
           const std::uint64_t nh = and_popcount(row_ni, normal.row(j), normal.row(k));
           best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-          ++inner;
         }
       }
       if (stats) {
@@ -390,10 +394,11 @@ EvalResult eval3_1x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 
 // Thread = one triple.
 EvalResult eval3_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, KernelStats* stats) {
+                     std::uint64_t begin, std::uint64_t end, KernelStats* stats,
+                     const EvalResult& incumbent) {
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
 
   Triple t = begin < end ? unrank_triple(begin) : Triple{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_triple(t)) {
@@ -506,18 +511,18 @@ std::uint64_t scheme3_thread_work(Scheme3 scheme, std::uint32_t genes,
 EvalResult evaluate_range_4hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme4 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts, KernelStats* stats,
-                               Arena* arena) {
+                               Arena* arena, const EvalResult& incumbent) {
   assert(tumor.genes() == normal.genes());
   assert(end <= scheme4_threads(scheme, tumor.genes()));
   switch (scheme) {
     case Scheme4::k1x3:
-      return eval4_1x3(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval4_1x3(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme4::k2x2:
-      return eval4_2x2(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval4_2x2(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme4::k3x1:
-      return eval4_3x1(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval4_3x1(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme4::k4x1:
-      return eval4_4x1(tumor, normal, ctx, begin, end, stats);
+      return eval4_4x1(tumor, normal, ctx, begin, end, stats, incumbent);
   }
   return {};
 }
@@ -525,16 +530,16 @@ EvalResult evaluate_range_4hit(const BitMatrix& tumor, const BitMatrix& normal,
 EvalResult evaluate_range_3hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme3 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts, KernelStats* stats,
-                               Arena* arena) {
+                               Arena* arena, const EvalResult& incumbent) {
   assert(tumor.genes() == normal.genes());
   assert(end <= scheme3_threads(scheme, tumor.genes()));
   switch (scheme) {
     case Scheme3::k1x2:
-      return eval3_1x2(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval3_1x2(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme3::k2x1:
-      return eval3_2x1(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval3_2x1(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme3::k3x1:
-      return eval3_3x1(tumor, normal, ctx, begin, end, stats);
+      return eval3_3x1(tumor, normal, ctx, begin, end, stats, incumbent);
   }
   return {};
 }

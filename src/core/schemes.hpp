@@ -76,28 +76,39 @@ std::uint64_t scheme5_thread_work(Scheme5 scheme, std::uint32_t genes,
 /// operation/traffic counts used by the GPU performance model. `arena`,
 /// when non-null, supplies the prefetch scratch (bump-allocated; the caller
 /// owns the reset cadence) instead of a per-call heap allocation.
+///
+/// Every kernel returns merge_results(incumbent, best over [begin, end)).
+/// The staged (MemOpt2) schemes skip a staged prefix whose tumor popcount
+/// t gives f_score(ctx, t, 0) < the best so far: no extension can win, so
+/// the result is unchanged. A strong incumbent (the host sweep's pilot)
+/// lets the bound bite from the first prefix. `stats` stays the analytic
+/// count: skipped prefixes still add their combinations and traffic.
 EvalResult evaluate_range_4hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme4 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+                               KernelStats* stats = nullptr, Arena* arena = nullptr,
+                               const EvalResult& incumbent = {});
 
 /// 3-hit maxF kernel over threads [begin, end) of `scheme`.
 EvalResult evaluate_range_3hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme3 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+                               KernelStats* stats = nullptr, Arena* arena = nullptr,
+                               const EvalResult& incumbent = {});
 
 /// 2-hit maxF kernel. MemOpt2 has no second fixed row to fold at this hit
 /// count; prefetch_j is accepted and behaves like prefetch_i.
 EvalResult evaluate_range_2hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme2 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+                               KernelStats* stats = nullptr, Arena* arena = nullptr,
+                               const EvalResult& incumbent = {});
 
 /// 5-hit maxF kernel. Requires C(genes,5) to fit u64 (genes <= 18580).
 EvalResult evaluate_range_5hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme5 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+                               KernelStats* stats = nullptr, Arena* arena = nullptr,
+                               const EvalResult& incumbent = {});
 
 }  // namespace multihit

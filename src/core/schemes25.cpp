@@ -21,6 +21,7 @@ using detail::advance_pair;
 using detail::advance_quad;
 using detail::advance_triple;
 using detail::scan_staged;
+using detail::stage_and;
 
 // ---------------------------------------------------------------------------
 // 2-hit kernels
@@ -29,11 +30,11 @@ using detail::scan_staged;
 // Thread = i; inner loop over j.
 EvalResult eval2_1x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
   const bool prefetch = opts.prefetch_i || opts.prefetch_j;
 
@@ -45,8 +46,10 @@ EvalResult eval2_1x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
     const auto rank_of = [&](std::uint32_t j) { return std::uint64_t{i} + triangular(j); };
     if (prefetch) {
       std::ranges::copy(tumor.row(i), scratch.t1.begin());
-      std::ranges::copy(normal.row(i), scratch.n1.begin());
-      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, i + 1, rank_of);
+      if (best.can_improve(popcount_row(scratch.t1))) {
+        std::ranges::copy(normal.row(i), scratch.n1.begin());
+        scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, i + 1, rank_of);
+      }
     } else {
       for (std::uint32_t j = i + 1; j < genes; ++j) {
         const std::uint64_t tp = and_popcount(tumor.row(i), tumor.row(j));
@@ -68,10 +71,11 @@ EvalResult eval2_1x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 
 // Thread = one pair.
 EvalResult eval2_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, KernelStats* stats) {
+                     std::uint64_t begin, std::uint64_t end, KernelStats* stats,
+                     const EvalResult& incumbent) {
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
 
   Pair p = begin < end ? unrank_pair(begin) : Pair{};
   for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_pair(p)) {
@@ -97,11 +101,11 @@ EvalResult eval2_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 // successor, with the O(G) workload spread that made 3x1 scale.
 EvalResult eval5_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   Quad q = begin < end ? unrank_quad(begin) : Quad{};
@@ -112,10 +116,11 @@ EvalResult eval5_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 
     if (opts.prefetch_j) {
       const std::uint32_t fixed[4] = {q.i, q.j, q.k, q.l};
-      tumor.combine_rows(fixed, scratch.t1);
-      normal.combine_rows(fixed, scratch.n1);
-      scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, q.l + 1,
-                  [&](std::uint32_t m) { return base_rank + quintic(m); });
+      if (best.can_improve(tumor.combine_rows(fixed, scratch.t1))) {
+        normal.combine_rows(fixed, scratch.n1);
+        scan_staged(best, scratch, tumor, normal, scratch.t1, scratch.n1, q.l + 1,
+                    [&](std::uint32_t m) { return base_rank + quintic(m); });
+      }
       if (stats) {
         stats->word_ops += 3 * (wt + wn) + inner * (wt + wn);
         stats->global_words += 4 * (wt + wn) + inner * (wt + wn);
@@ -163,11 +168,11 @@ EvalResult eval5_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FCon
 // Thread = (i, j, k); inner loops over l, m.
 EvalResult eval5_3x2(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                      std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
+                     KernelStats* stats, Arena* arena, const EvalResult& incumbent) {
   const std::uint32_t genes = tumor.genes();
   const std::uint64_t wt = tumor.words_per_row();
   const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  BestTracker best(ctx, incumbent);
   Scratch scratch(tumor, normal, arena);
 
   Triple t = begin < end ? unrank_triple(begin) : Triple{};
@@ -177,19 +182,19 @@ EvalResult eval5_3x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
       continue;
     }
     const std::uint64_t base_rank = t.i + triangular(t.j) + tetrahedral(t.k);
-    std::uint64_t inner = 0;
+    const std::uint64_t inner = triangular(genes - 1 - t.k);
 
     if (opts.prefetch_j) {
       const std::uint32_t fixed[3] = {t.i, t.j, t.k};
-      tumor.combine_rows(fixed, scratch.t1);
-      normal.combine_rows(fixed, scratch.n1);
-      for (std::uint32_t l = t.k + 1; l + 1 < genes; ++l) {
-        and_rows(scratch.t2, scratch.t1, tumor.row(l));
-        and_rows(scratch.n2, scratch.n1, normal.row(l));
-        const std::uint64_t rank_ijkl = base_rank + quartic(l);
-        scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, l + 1,
-                    [&](std::uint32_t m) { return rank_ijkl + quintic(m); });
-        inner += genes - 1 - l;
+      if (best.can_improve(tumor.combine_rows(fixed, scratch.t1))) {
+        normal.combine_rows(fixed, scratch.n1);
+        for (std::uint32_t l = t.k + 1; l + 1 < genes; ++l) {
+          if (!best.can_improve(stage_and(scratch.t2, scratch.t1, tumor.row(l)))) continue;
+          and_rows(scratch.n2, scratch.n1, normal.row(l));
+          const std::uint64_t rank_ijkl = base_rank + quartic(l);
+          scan_staged(best, scratch, tumor, normal, scratch.t2, scratch.n2, l + 1,
+                      [&](std::uint32_t m) { return rank_ijkl + quintic(m); });
+        }
       }
       if (stats) {
         const std::uint64_t nl = genes - 2 - t.k;
@@ -221,7 +226,6 @@ EvalResult eval5_3x2(const BitMatrix& tumor, const BitMatrix& normal, const FCon
                 normal.row(m)[w]));
           }
           best.consider(tp, nh, [&] { return rank_ijkl + quintic(m); });
-          ++inner;
         }
       }
       if (stats) {
@@ -311,14 +315,14 @@ std::uint64_t scheme5_thread_work(Scheme5 scheme, std::uint32_t genes,
 EvalResult evaluate_range_2hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme2 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts, KernelStats* stats,
-                               Arena* arena) {
+                               Arena* arena, const EvalResult& incumbent) {
   assert(tumor.genes() == normal.genes());
   assert(end <= scheme2_threads(scheme, tumor.genes()));
   switch (scheme) {
     case Scheme2::k1x1:
-      return eval2_1x1(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval2_1x1(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme2::k2x1:
-      return eval2_2x1(tumor, normal, ctx, begin, end, stats);
+      return eval2_2x1(tumor, normal, ctx, begin, end, stats, incumbent);
   }
   return {};
 }
@@ -326,14 +330,14 @@ EvalResult evaluate_range_2hit(const BitMatrix& tumor, const BitMatrix& normal,
 EvalResult evaluate_range_5hit(const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx, Scheme5 scheme, std::uint64_t begin,
                                std::uint64_t end, const MemOpts& opts, KernelStats* stats,
-                               Arena* arena) {
+                               Arena* arena, const EvalResult& incumbent) {
   assert(tumor.genes() == normal.genes());
   assert(end <= scheme5_threads(scheme, tumor.genes()));
   switch (scheme) {
     case Scheme5::k3x2:
-      return eval5_3x2(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval5_3x2(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
     case Scheme5::k4x1:
-      return eval5_4x1(tumor, normal, ctx, begin, end, opts, stats, arena);
+      return eval5_4x1(tumor, normal, ctx, begin, end, opts, stats, arena, incumbent);
   }
   return {};
 }

@@ -27,16 +27,20 @@ class ChunkQueue {
   bool next(std::uint64_t* chunk_begin, std::uint64_t* chunk_end) noexcept {
     const std::uint64_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (index >= chunk_count()) return false;
+    // index < chunk_count(), so index * chunk_ < end_ - begin_; clamping the
+    // remaining length instead of the end keeps both sums below end_.
     *chunk_begin = begin_ + index * chunk_;
-    *chunk_end = std::min(end_, *chunk_begin + chunk_);
+    *chunk_end = *chunk_begin + std::min(chunk_, end_ - *chunk_begin);
     return true;
   }
 
   std::uint64_t chunk_size() const noexcept { return chunk_; }
 
+  /// ceil(span / chunk), without the wrap of (span + chunk - 1) / chunk near
+  /// 2^64.
   std::uint64_t chunk_count() const noexcept {
     const std::uint64_t span = end_ > begin_ ? end_ - begin_ : 0;
-    return (span + chunk_ - 1) / chunk_;
+    return span / chunk_ + (span % chunk_ != 0 ? 1 : 0);
   }
 
   // Starvation accounting for the host profiler, read for free off the

@@ -193,16 +193,33 @@ TEST(HostProf, CallCountsAreDispatchLevelIdenticalAcrossThreadCounts) {
 }
 
 TEST(HostProf, StagedSweepDispatchesOncePerPrefixAndMatrix) {
-  // The default sweep stages (MemOpt2): 2-hit 1x1 scores each row i's block
-  // of rows j > i with one batched call per matrix, and never falls back to
-  // a per-combination and_popcount.
+  // The staged (MemOpt2) 2-hit 1x1 kernel scores row i's block of rows
+  // j > i with one batched call per matrix, never falls back to a
+  // per-combination and_popcount, and skips row i outright when its tumor
+  // popcount t gives f_score(t, 0) < best.f. Seeded with the serial best,
+  // best.f never moves, so the call count is exact.
   const Fixture f = make_fixture(2, 707);
-  HostProfiler profiler;
-  (void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
-                             sweep_options(2, 2, 5, &profiler));
-  const obs::HostBitopsCalls& calls = profiler.profile().total_calls;
-  const std::uint64_t prefixes = f.data.tumor.genes() - 1;  // the last i has no j above it
-  EXPECT_EQ(calls.and_popcount_rows, 2 * prefixes);
+  const EvalResult best = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 2);
+  ASSERT_TRUE(best.valid);
+  const std::uint32_t genes = f.data.tumor.genes();
+  std::uint64_t kept = 0;
+  for (std::uint32_t i = 0; i + 1 < genes; ++i) {  // the last i has no j above it
+    if (f_score(f.ctx, popcount_row(f.data.tumor.row(i)), 0) >= best.f) ++kept;
+  }
+  const std::uint64_t prefixes = genes - 1;
+  ASSERT_GT(kept, 0u);
+  ASSERT_LT(kept, prefixes) << "the fixture must let the bound skip some rows";
+
+  const bool counting_before = set_call_counting(true);
+  const BitopsCallCounts before = thread_bitops_calls();
+  const EvalResult got =
+      evaluate_range_2hit(f.data.tumor, f.data.normal, f.ctx, Scheme2::k1x1, 0, genes,
+                          MemOpts{.prefetch_i = true, .prefetch_j = true}, nullptr, nullptr, best);
+  const BitopsCallCounts calls = thread_bitops_calls() - before;
+  set_call_counting(counting_before);
+
+  EXPECT_EQ(got.combo_rank, best.combo_rank);
+  EXPECT_EQ(calls.and_popcount_rows, 2 * kept);
   EXPECT_EQ(calls.and2, 0u);
 }
 

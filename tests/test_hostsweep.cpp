@@ -15,15 +15,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/distributed.hpp"
+#include "combinat/unrank.hpp"
 #include "core/arena.hpp"
 #include "core/engine.hpp"
 #include "core/serial.hpp"
 #include "core/workqueue.hpp"
 #include "data/generator.hpp"
+#include "obs/hostprof.hpp"
 
 namespace multihit {
 namespace {
@@ -64,6 +67,43 @@ TEST(ChunkQueue, EmptyAndSingleChunkRanges) {
   EXPECT_EQ(begin, 7u);
   EXPECT_EQ(end, 12u);
   EXPECT_FALSE(one.next(&begin, &end));
+}
+
+TEST(ChunkQueue, CountsAndClaimsDoNotWrapAtTheTopOfU64) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::uint64_t begin = 0, end = 0;
+
+  // (span + chunk - 1) / chunk would wrap to 0 here, and a sweep over the
+  // whole range would evaluate nothing.
+  ChunkQueue whole(0, kMax, 1024);
+  EXPECT_EQ(whole.chunk_count(), kMax / 1024 + 1);
+  ASSERT_TRUE(whole.next(&begin, &end));
+  EXPECT_EQ(begin, 0u);
+  EXPECT_EQ(end, 1024u);
+
+  // begin + chunk would wrap past 2^64 here and give an inverted range.
+  ChunkQueue top(kMax - 10, kMax, 1024);
+  EXPECT_EQ(top.chunk_count(), 1u);
+  ASSERT_TRUE(top.next(&begin, &end));
+  EXPECT_EQ(begin, kMax - 10);
+  EXPECT_EQ(end, kMax);
+  EXPECT_FALSE(top.next(&begin, &end));
+
+  // A short last chunk at the top of the range, and a chunk as wide as u64.
+  ChunkQueue tail(kMax - 5, kMax, 4);
+  EXPECT_EQ(tail.chunk_count(), 2u);
+  ASSERT_TRUE(tail.next(&begin, &end));
+  EXPECT_EQ(end, kMax - 1);
+  ASSERT_TRUE(tail.next(&begin, &end));
+  EXPECT_EQ(begin, kMax - 1);
+  EXPECT_EQ(end, kMax);
+  EXPECT_FALSE(tail.next(&begin, &end));
+
+  ChunkQueue wide(3, kMax, kMax);
+  EXPECT_EQ(wide.chunk_count(), 1u);
+  ASSERT_TRUE(wide.next(&begin, &end));
+  EXPECT_EQ(begin, 3u);
+  EXPECT_EQ(end, kMax);
 }
 
 TEST(ChunkQueue, ConcurrentClaimsArePartition) {
@@ -226,6 +266,118 @@ TEST(HostSweep, FiveHitRoutesToTheFiveHitKernel) {
   EXPECT_EQ(swept.f, reference.f);
   // 4x1 visits each 5-combination exactly once.
   EXPECT_EQ(telemetry.stats.combinations, binomial(spec.genes, 5));
+}
+
+// --- pilot incumbent and prefix bound ---------------------------------------
+
+TEST(PilotIncumbent, ScoresItsCombinationLikeTheSerialReference) {
+  for (const std::uint32_t hits : {2u, 3u, 4u, 5u}) {
+    const Fixture f = make_fixture(hits, 4300 + hits);
+    const EvalResult pilot = pilot_incumbent(f.data.tumor, f.data.normal, f.ctx, hits);
+    ASSERT_TRUE(pilot.valid) << "hits=" << hits;
+    const std::vector<std::uint32_t> combo = unrank_combination(pilot.combo_rank, hits);
+    const std::uint64_t tp = f.data.tumor.intersect_count(combo);
+    const std::uint64_t nh = f.data.normal.intersect_count(combo);
+    EXPECT_EQ(pilot.f, f_score(f.ctx, tp, nh)) << "hits=" << hits;
+    EXPECT_EQ(pilot.tp, tp);
+    EXPECT_EQ(pilot.tn, f.ctx.normal_total - nh);
+    // A real combination never beats the exhaustive best.
+    const EvalResult best = serial_find_best(f.data.tumor, f.data.normal, f.ctx, hits);
+    EXPECT_FALSE(pilot.better_than(best)) << "hits=" << hits;
+  }
+}
+
+TEST(PilotIncumbent, GrowsByLargestTumorOverlapWithLowestIndexOnTies) {
+  // Gene 3 covers the most tumor samples; genes 1 and 4 then keep three of
+  // them each (the tie goes to 1), gene 0 keeps fewer.
+  BitMatrix tumor(5, 8);
+  BitMatrix normal(5, 8);
+  for (const std::uint32_t s : {0u, 1u, 2u, 3u, 4u, 5u}) tumor.set(3, s);
+  for (const std::uint32_t s : {0u, 1u, 2u, 7u}) tumor.set(1, s);
+  for (const std::uint32_t s : {3u, 4u, 5u}) tumor.set(4, s);
+  for (const std::uint32_t s : {0u, 6u, 7u}) tumor.set(0, s);
+  normal.set(1, 0);
+  normal.set(3, 0);
+  const FContext ctx{FParams{}, 8, 8};
+  const EvalResult pilot = pilot_incumbent(tumor, normal, ctx, 2);
+  ASSERT_TRUE(pilot.valid);
+  const std::vector<std::uint32_t> pair = {1, 3};
+  EXPECT_EQ(pilot.combo_rank, rank_combination(pair));
+  EXPECT_EQ(pilot.tp, 3u);
+  EXPECT_EQ(pilot.tn, 7u);
+}
+
+TEST(PilotIncumbent, InvalidWhenThereAreFewerGenesThanHits) {
+  BitMatrix tumor(3, 16);
+  BitMatrix normal(3, 16);
+  tumor.set(0, 0);
+  const FContext ctx{FParams{}, 16, 16};
+  EXPECT_FALSE(pilot_incumbent(tumor, normal, ctx, 4).valid);
+  EXPECT_FALSE(pilot_incumbent(tumor, normal, ctx, 5).valid);
+  EXPECT_TRUE(pilot_incumbent(tumor, normal, ctx, 3).valid);
+}
+
+// Every tumor sample carries every gene and no normal sample carries any:
+// all combinations tie on F, so rank 0 must win and the bound never skips.
+Dataset fully_covered(std::uint32_t genes) {
+  Dataset d;
+  d.tumor = BitMatrix(genes, 70);
+  d.normal = BitMatrix(genes, 50);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 70; ++s) d.tumor.set(g, s);
+  }
+  return d;
+}
+
+TEST(HostSweep, PilotSeededSweepMatchesSerialOnPrunedAndTiedInputs) {
+  for (const std::uint32_t hits : {2u, 3u, 4u, 5u}) {
+    const std::uint32_t genes = hits == 5 ? 16 : 24;
+    SyntheticSpec spec;
+    spec.genes = genes;
+    spec.tumor_samples = 70;
+    spec.normal_samples = 50;
+    spec.hits = hits;
+    spec.num_combinations = 3;
+    spec.background_rate = 0.02;
+    spec.seed = 4400 + hits;
+    const FContext ctx{FParams{}, 70, 50};
+    for (const bool tied : {false, true}) {
+      const Dataset d = tied ? fully_covered(genes) : generate_dataset(spec);
+      const EvalResult reference = serial_find_best(d.tumor, d.normal, ctx, hits);
+      ASSERT_TRUE(reference.valid);
+      if (tied) EXPECT_EQ(reference.combo_rank, 0u);
+      for (const std::uint32_t threads : {1u, 2u, 4u}) {
+        for (const std::uint64_t chunk : {1ull, 7ull, 1024ull}) {
+          HostSweepOptions options;
+          options.hits = hits;
+          options.threads = threads;
+          options.chunk = chunk;
+          obs::HostProfiler profiler;
+          options.profiler = &profiler;
+          HostSweepTelemetry telemetry;
+          const EvalResult swept = host_sweep_find_best(d.tumor, d.normal, ctx, options, &telemetry);
+          const std::string where = "hits=" + std::to_string(hits) + " tied=" +
+                                    std::to_string(tied) + " threads=" +
+                                    std::to_string(threads) + " chunk=" + std::to_string(chunk);
+          ASSERT_TRUE(swept.valid) << where;
+          EXPECT_EQ(swept.combo_rank, reference.combo_rank) << where;
+          EXPECT_EQ(swept.f, reference.f) << where;
+          EXPECT_EQ(swept.tp, reference.tp) << where;
+          EXPECT_EQ(swept.tn, reference.tn) << where;
+          EXPECT_EQ(telemetry.stats.combinations, binomial(genes, hits)) << where;
+          // The default schemes stage one prefix per thread with a gene above
+          // it, C(genes - 1, hits - 1) of them, at two batched calls each.
+          const std::uint64_t staged_calls = 2 * binomial(genes - 1, hits - 1);
+          const std::uint64_t calls = profiler.profile().total_calls.and_popcount_rows;
+          if (tied) {
+            EXPECT_EQ(calls, staged_calls) << where;
+          } else {
+            EXPECT_LT(calls, staged_calls / 2) << where << ": the pilot should prune";
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- worker-clamp edge cases ------------------------------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "combinat/binomial.hpp"
@@ -260,20 +261,21 @@ u64 staged_threads(const StagedScheme& s) {
 }
 
 EvalResult staged_eval(const StagedScheme& s, const Dataset& d, const FContext& ctx, u64 begin,
-                       u64 end, const MemOpts& opts, KernelStats* stats, Arena* arena) {
+                       u64 end, const MemOpts& opts, KernelStats* stats, Arena* arena,
+                       const EvalResult& incumbent = {}) {
   switch (s.hits) {
     case 2:
       return evaluate_range_2hit(d.tumor, d.normal, ctx, static_cast<Scheme2>(s.scheme), begin,
-                                 end, opts, stats, arena);
+                                 end, opts, stats, arena, incumbent);
     case 3:
       return evaluate_range_3hit(d.tumor, d.normal, ctx, static_cast<Scheme3>(s.scheme), begin,
-                                 end, opts, stats, arena);
+                                 end, opts, stats, arena, incumbent);
     case 4:
       return evaluate_range_4hit(d.tumor, d.normal, ctx, static_cast<Scheme4>(s.scheme), begin,
-                                 end, opts, stats, arena);
+                                 end, opts, stats, arena, incumbent);
     default:
       return evaluate_range_5hit(d.tumor, d.normal, ctx, static_cast<Scheme5>(s.scheme), begin,
-                                 end, opts, stats, arena);
+                                 end, opts, stats, arena, incumbent);
   }
 }
 
@@ -295,6 +297,22 @@ void expect_same_winner(const EvalResult& got, const EvalResult& want, const std
   EXPECT_EQ(got.f, want.f) << label;
   EXPECT_EQ(got.tp, want.tp) << label;
   EXPECT_EQ(got.tn, want.tn) << label;
+}
+
+void expect_stats_eq(const KernelStats& got, const KernelStats& want, const std::string& label) {
+  EXPECT_EQ(got.combinations, want.combinations) << label;
+  EXPECT_EQ(got.word_ops, want.word_ops) << label;
+  EXPECT_EQ(got.global_words, want.global_words) << label;
+  EXPECT_EQ(got.local_words, want.local_words) << label;
+  EXPECT_EQ(got.distinct_rows, want.distinct_rows) << label;
+}
+
+std::string scheme_label(const StagedScheme& s) {
+  const char* name = s.hits == 2   ? scheme_name(static_cast<Scheme2>(s.scheme))
+                     : s.hits == 3 ? scheme_name(static_cast<Scheme3>(s.scheme))
+                     : s.hits == 4 ? scheme_name(static_cast<Scheme4>(s.scheme))
+                                   : scheme_name(static_cast<Scheme5>(s.scheme));
+  return "h" + std::to_string(s.hits) + "_" + name;
 }
 
 class StagedScanDifferential : public ::testing::TestWithParam<StagedScheme> {};
@@ -338,11 +356,7 @@ TEST_P(StagedScanDifferential, ChunkedRangesMatchSerialMemOptOffAndAnalytic) {
       }
       const std::string where = label + (use_arena ? " arena" : " heap");
       expect_same_winner(merged, serial, where);
-      EXPECT_EQ(stats.combinations, analytic.combinations) << where;
-      EXPECT_EQ(stats.word_ops, analytic.word_ops) << where;
-      EXPECT_EQ(stats.global_words, analytic.global_words) << where;
-      EXPECT_EQ(stats.local_words, analytic.local_words) << where;
-      EXPECT_EQ(stats.distinct_rows, analytic.distinct_rows) << where;
+      expect_stats_eq(stats, analytic, where);
     }
     // Thread by thread, the staged scan picks what the per-combination path
     // picks: a scan that drops or shifts a row shows up in some thread's
@@ -367,14 +381,136 @@ INSTANTIATE_TEST_SUITE_P(
                       StagedScheme{4, static_cast<int>(Scheme4::k3x1), 18},
                       StagedScheme{5, static_cast<int>(Scheme5::k3x2), 14},
                       StagedScheme{5, static_cast<int>(Scheme5::k4x1), 14}),
-    [](const auto& info) {
-      const StagedScheme& s = info.param;
-      const char* name = s.hits == 2   ? scheme_name(static_cast<Scheme2>(s.scheme))
-                         : s.hits == 3 ? scheme_name(static_cast<Scheme3>(s.scheme))
-                         : s.hits == 4 ? scheme_name(static_cast<Scheme4>(s.scheme))
-                                       : scheme_name(static_cast<Scheme5>(s.scheme));
-      return "h" + std::to_string(s.hits) + "_" + name;
-    });
+    [](const auto& info) { return scheme_label(info.param); });
+
+// --- incumbent differential --------------------------------------------------
+// Every kernel, staged or not, returns merge_results(incumbent, best over its
+// range), and the prefix bound must never change that: each chunk's result is
+// pinned against the unpruned MemOpt-off result merged with the incumbent,
+// for incumbents that prune nothing, some, or everything, and KernelStats
+// stay the analytic count however much is skipped.
+
+// The combination of colex rank `rank`, scored as the serial reference does.
+EvalResult scored(const Dataset& d, const FContext& ctx, std::uint32_t hits, u64 rank) {
+  const std::vector<std::uint32_t> combo = unrank_combination(rank, hits);
+  const u64 tp = d.tumor.intersect_count(combo);
+  const u64 nh = d.normal.intersect_count(combo);
+  EvalResult r;
+  r.valid = true;
+  r.f = f_score(ctx, tp, nh);
+  r.combo_rank = rank;
+  r.tp = tp;
+  r.tn = ctx.normal_total - nh;
+  return r;
+}
+
+// Every tumor sample carries every gene and no normal sample carries any, so
+// all combinations tie on F and only the rank decides.
+Dataset all_tied(std::uint32_t genes, std::uint32_t tumor_samples, std::uint32_t normal_samples) {
+  Dataset d;
+  d.tumor = BitMatrix(genes, tumor_samples);
+  d.normal = BitMatrix(genes, normal_samples);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < tumor_samples; ++s) d.tumor.set(g, s);
+  }
+  return d;
+}
+
+class IncumbentDifferential : public ::testing::TestWithParam<StagedScheme> {};
+
+TEST_P(IncumbentDifferential, ResultIsIncumbentMergedWithUnprunedBest) {
+  const StagedScheme s = GetParam();
+  Rng rng(9500 + 10 * s.hits + static_cast<u64>(s.scheme));
+  for (int trial = 0; trial < 3; ++trial) {
+    Dataset d;
+    FContext ctx;
+    if (trial < 2) {
+      SyntheticSpec spec;
+      spec.genes = s.genes;
+      spec.tumor_samples = 20 + static_cast<std::uint32_t>(rng.uniform(300));
+      spec.normal_samples = 20 + static_cast<std::uint32_t>(rng.uniform(200));
+      spec.hits = s.hits;
+      spec.num_combinations = 2;
+      spec.background_rate = trial == 0 ? 0.01 : 0.25;
+      spec.seed = rng();
+      d = generate_dataset(spec);
+      ctx = FContext{FParams{}, spec.tumor_samples, spec.normal_samples};
+    } else {
+      d = all_tied(s.genes, 70, 50);
+      ctx = FContext{FParams{}, 70, 50};
+    }
+    const std::string label = scheme_label(s) + " trial=" + std::to_string(trial);
+
+    const u64 total = staged_threads(s);
+    const u64 combos = binomial(s.genes, s.hits);
+    const EvalResult serial = serial_find_best(d.tumor, d.normal, ctx, s.hits);
+    ASSERT_TRUE(serial.valid) << label;
+    // A combination tying the best F at a higher rank: real on the all-tied
+    // matrix (the last combination), fabricated elsewhere.
+    EvalResult tie = trial == 2 ? scored(d, ctx, s.hits, combos - 1) : serial;
+    if (trial < 2) tie.combo_rank = serial.combo_rank + 1;
+    ASSERT_EQ(tie.f, serial.f) << label;
+    EvalResult above = serial;  // F never exceeds 1
+    above.f = 2.0;
+    above.combo_rank = combos - 1;
+    const std::vector<std::pair<const char*, EvalResult>> incumbents = {
+        {"invalid", EvalResult{}},
+        {"mid-ranked", scored(d, ctx, s.hits, combos / 2)},
+        {"serial best", serial},
+        {"tie at higher rank", tie},
+        {"above every F", above}};
+
+    std::vector<u64> cuts = {0, total};
+    for (int c = 0; c < 6; ++c) cuts.push_back(rng.uniform(total + 1));
+    std::sort(cuts.begin(), cuts.end());
+    // The unpruned reference per chunk: MemOpt off, no incumbent.
+    std::vector<EvalResult> unpruned;
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      unpruned.push_back(staged_eval(s, d, ctx, cuts[c], cuts[c + 1], {}, nullptr, nullptr));
+    }
+
+    const MemOpts staged{.prefetch_i = trial == 1, .prefetch_j = true};
+    for (const MemOpts& opts : {MemOpts{}, staged}) {
+      const KernelStats analytic = staged_analytic(s, total, opts, d);
+      for (const auto& [name, incumbent] : incumbents) {
+        for (const bool use_arena : {false, true}) {
+          const std::string where = label + " incumbent=" + name +
+                                    (opts.prefetch_j ? " memopt-on" : " memopt-off") +
+                                    (use_arena ? " arena" : " heap");
+          Arena arena;
+          EvalResult merged;
+          KernelStats stats;
+          for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+            arena.reset();
+            const EvalResult got = staged_eval(s, d, ctx, cuts[c], cuts[c + 1], opts, &stats,
+                                               use_arena ? &arena : nullptr, incumbent);
+            expect_same_winner(got, merge_results(incumbent, unpruned[c]),
+                               where + " chunk=" + std::to_string(c));
+            merged = merge_results(merged, got);
+          }
+          expect_same_winner(merged, merge_results(incumbent, serial), where);
+          expect_stats_eq(stats, analytic, where);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, IncumbentDifferential,
+    ::testing::Values(StagedScheme{2, static_cast<int>(Scheme2::k1x1), 40},
+                      StagedScheme{2, static_cast<int>(Scheme2::k2x1), 40},
+                      StagedScheme{3, static_cast<int>(Scheme3::k1x2), 26},
+                      StagedScheme{3, static_cast<int>(Scheme3::k2x1), 26},
+                      StagedScheme{3, static_cast<int>(Scheme3::k3x1), 26},
+                      StagedScheme{4, static_cast<int>(Scheme4::k1x3), 18},
+                      StagedScheme{4, static_cast<int>(Scheme4::k2x2), 18},
+                      StagedScheme{4, static_cast<int>(Scheme4::k3x1), 18},
+                      StagedScheme{4, static_cast<int>(Scheme4::k4x1), 18},
+                      StagedScheme{5, static_cast<int>(Scheme5::k3x2), 14},
+                      StagedScheme{5, static_cast<int>(Scheme5::k4x1), 14}),
+    [](const auto& info) { return scheme_label(info.param); });
 
 TEST(Schemes, NamesAreStable) {
   EXPECT_STREQ(scheme_name(Scheme4::k2x2), "2x2");

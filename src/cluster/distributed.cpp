@@ -23,38 +23,6 @@ const char* scheduler_name(SchedulerKind kind) noexcept {
 
 namespace {
 
-WorkloadModel make_model(const DistributedOptions& options, std::uint32_t genes) {
-  switch (options.hits) {
-    case 2:
-      return WorkloadModel::for_scheme2(options.scheme2, genes);
-    case 3:
-      return WorkloadModel::for_scheme3(options.scheme3, genes);
-    case 5:
-      return WorkloadModel::for_scheme5(options.scheme5, genes);
-    default:
-      return WorkloadModel::for_scheme4(options.scheme4, genes);
-  }
-}
-
-DeviceRunResult run_device(const GpuDevice& device, const DistributedOptions& options,
-                           const BitMatrix& tumor, const BitMatrix& normal,
-                           const FContext& ctx, const Partition& partition) {
-  switch (options.hits) {
-    case 2:
-      return device.run_2hit(tumor, normal, ctx, options.scheme2, partition,
-                             options.mem_opts);
-    case 3:
-      return device.run_3hit(tumor, normal, ctx, options.scheme3, partition,
-                             options.mem_opts);
-    case 5:
-      return device.run_5hit(tumor, normal, ctx, options.scheme5, partition,
-                             options.mem_opts);
-    default:
-      return device.run_4hit(tumor, normal, ctx, options.scheme4, partition,
-                             options.mem_opts);
-  }
-}
-
 Partition intersect(const Partition& a, const Partition& b) noexcept {
   const u64 begin = std::max(a.begin, b.begin);
   const u64 end = std::min(a.end, b.end);
@@ -80,7 +48,10 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
   // iterations (BitSplicing removes samples, not genes) — built once,
   // exactly as rank 0 does in the paper. The *schedule* is rebuilt over the
   // surviving GPUs after every rank failure.
-  const WorkloadModel model = make_model(options, data.genes());
+  const SchemeShape shape =
+      select_shape(options.hits, options.scheme2, options.scheme3, options.scheme4,
+                   options.scheme5);
+  const WorkloadModel model = WorkloadModel::for_shape(shape, data.genes());
   const double schedule_build_time =
       static_cast<double>(model.levels().size()) * config_.schedule_seconds_per_level;
   const auto build_schedule = [&](std::uint32_t units) {
@@ -218,7 +189,7 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
         const std::uint32_t unit = pos * gpn + g;
         if (rec) rec->profile.set_context({node, unit, iter, /*recovery=*/false});
         const DeviceRunResult run =
-            run_device(device, options, tumor, normal, ctx, schedule[unit]);
+            device.run(tumor, normal, ctx, shape, schedule[unit], options.mem_opts);
         GpuTiming timing = run.timing;
         const double slowdown = config_.jitter_factor(unit) * config_.noise_factor() * straggle;
         timing.time *= slowdown;
@@ -344,7 +315,7 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
             if (segment.size() == 0) continue;
             if (rec) rec->profile.set_context({node, unit, iter, /*recovery=*/true});
             const DeviceRunResult run =
-                run_device(device, options, tumor, normal, ctx, segment);
+                device.run(tumor, normal, ctx, shape, segment, options.mem_opts);
             recovery[node] = merge_results(recovery[node], run.best);
             const double segment_time = run.timing.time * config_.jitter_factor(unit) *
                                         config_.noise_factor() * straggle;

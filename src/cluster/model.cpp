@@ -18,40 +18,14 @@ constexpr std::uint32_t words_for(std::uint32_t samples) noexcept {
   return (samples + 63) / 64;
 }
 
-KernelStats stats_for_partition(const ModelInputs& inputs, const Partition& partition,
-                                std::uint32_t tumor_words, std::uint32_t normal_words) {
-  switch (inputs.hits) {
-    case 2:
-      return analytic_stats_2hit(inputs.scheme2, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-    case 3:
-      return analytic_stats_3hit(inputs.scheme3, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-    case 5:
-      return analytic_stats_5hit(inputs.scheme5, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-    default:
-      return analytic_stats_4hit(inputs.scheme4, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-  }
-}
-
-WorkloadModel model_for_inputs(const ModelInputs& inputs) {
-  switch (inputs.hits) {
-    case 2:
-      return WorkloadModel::for_scheme2(inputs.scheme2, inputs.genes);
-    case 3:
-      return WorkloadModel::for_scheme3(inputs.scheme3, inputs.genes);
-    case 5:
-      return WorkloadModel::for_scheme5(inputs.scheme5, inputs.genes);
-    default:
-      return WorkloadModel::for_scheme4(inputs.scheme4, inputs.genes);
-  }
+SchemeShape shape_for(const ModelInputs& inputs) {
+  return select_shape(inputs.hits, inputs.scheme2, inputs.scheme3, inputs.scheme4,
+                      inputs.scheme5);
 }
 
 // One modeled distributed iteration at the given tumor width.
 ModeledIteration model_iteration(const SummitConfig& config, const ModelInputs& inputs,
-                                 const std::vector<Partition>& schedule,
+                                 SchemeShape shape, const std::vector<Partition>& schedule,
                                  std::uint32_t tumor_samples, std::uint32_t iteration_index) {
   const std::uint32_t units = config.units();
   const std::uint32_t wt = words_for(tumor_samples);
@@ -68,7 +42,8 @@ ModeledIteration model_iteration(const SummitConfig& config, const ModelInputs& 
     double node_time = 0.0;
     for (std::uint32_t g = 0; g < config.gpus_per_node; ++g) {
       const std::uint32_t unit = node * config.gpus_per_node + g;
-      const KernelStats stats = stats_for_partition(inputs, schedule[unit], wt, wn);
+      const KernelStats stats = analytic_stats(shape, inputs.genes, schedule[unit].begin,
+                                               schedule[unit].end, inputs.mem_opts, wt, wn);
       GpuTiming timing = model_gpu_time(config.device, stats, schedule[unit].size());
       // The profile keeps the device-model view (un-jittered) in the modeled
       // fields and the jittered placement in sim_seconds — the same split the
@@ -117,7 +92,8 @@ ModeledRun model_cluster_run(const SummitConfig& config, const ModelInputs& inpu
     throw std::invalid_argument("coverage_per_iteration must be in (0, 1]");
   }
 
-  const WorkloadModel model = model_for_inputs(inputs);
+  const SchemeShape shape = shape_for(inputs);
+  const WorkloadModel model = WorkloadModel::for_shape(shape, inputs.genes);
   std::vector<Partition> schedule;
   switch (inputs.scheduler) {
     case SchedulerKind::kEquiDistance:
@@ -143,7 +119,7 @@ ModeledRun model_cluster_run(const SummitConfig& config, const ModelInputs& inpu
   std::uint32_t iterations = 0;
   while (remaining >= 1.0) {
     const auto width = static_cast<std::uint32_t>(std::ceil(remaining));
-    run.iterations.push_back(model_iteration(config, inputs, schedule,
+    run.iterations.push_back(model_iteration(config, inputs, shape, schedule,
                                              inputs.bit_splicing ? width
                                                                  : inputs.tumor_samples,
                                              iterations));
@@ -202,15 +178,16 @@ double model_single_cpu_time(const ModelInputs& inputs, double cpu_word_rate) {
   seq.mem_opts = MemOpts{.prefetch_i = true, .prefetch_j = true};
   const std::uint32_t wt = (inputs.tumor_samples + 63) / 64;
   const std::uint32_t wn = (inputs.normal_samples + 63) / 64;
-  const WorkloadModel model = model_for_inputs(seq);
-  const Partition whole{0, model.total_threads()};
+  const SchemeShape shape = shape_for(seq);
+  const std::uint64_t threads = scheme_threads(shape, inputs.genes);
 
   double total_ops = 0.0;
   double remaining = inputs.tumor_samples;
   while (remaining >= 1.0) {
     const auto width = static_cast<std::uint32_t>(std::ceil(remaining));
     const std::uint32_t wti = inputs.bit_splicing ? (width + 63) / 64 : wt;
-    const KernelStats stats = stats_for_partition(seq, whole, wti, wn);
+    const KernelStats stats =
+        analytic_stats(shape, inputs.genes, 0, threads, seq.mem_opts, wti, wn);
     total_ops += static_cast<double>(stats.word_ops);
     if (inputs.first_iteration_only) break;
     remaining *= 1.0 - inputs.coverage_per_iteration;

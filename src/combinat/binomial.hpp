@@ -77,4 +77,23 @@ constexpr u64 quintic(u64 n) noexcept {
   return static_cast<u64>(static_cast<u128>(quartic(n)) * (n - 4) / 5);
 }
 
+/// C(n, k) for k <= 5 through the closed forms above: the binomials of the
+/// enumeration kernels' shapes and ranks. The result must fit u64.
+constexpr u64 small_binomial(u64 n, unsigned k) noexcept {
+  switch (k) {
+    case 0:
+      return 1;
+    case 1:
+      return n;
+    case 2:
+      return triangular(n);
+    case 3:
+      return tetrahedral(n);
+    case 4:
+      return quartic(n);
+    default:
+      return quintic(n);
+  }
+}
+
 }  // namespace multihit

@@ -66,6 +66,19 @@ std::uint32_t quartic_level(u64 lambda) noexcept {
   return static_cast<std::uint32_t>(l);
 }
 
+std::uint32_t combination_level(u64 lambda, std::uint32_t k) noexcept {
+  switch (k) {
+    case 1:
+      return static_cast<std::uint32_t>(lambda);
+    case 2:
+      return triangular_level(lambda);
+    case 3:
+      return tetrahedral_level(lambda);
+    default:
+      return quartic_level(lambda);
+  }
+}
+
 Quad unrank_quad(u64 lambda) noexcept {
   const std::uint32_t l = quartic_level(lambda);
   const u64 rem = lambda - quartic(l);

@@ -79,4 +79,8 @@ Quad unrank_quad(u64 lambda) noexcept;
 /// Largest l with C(l,4) <= lambda (the 5-hit scheduler's workload level).
 std::uint32_t quartic_level(u64 lambda) noexcept;
 
+/// Largest c with C(c,k) <= lambda, for k in [1, 4]: the largest gene of the
+/// k-combination of colex rank λ, which sets a scheme thread's workload.
+std::uint32_t combination_level(u64 lambda, std::uint32_t k) noexcept;
+
 }  // namespace multihit

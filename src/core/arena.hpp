@@ -1,10 +1,10 @@
 #pragma once
 // Monotonic word arena for kernel scratch.
 //
-// Every evaluate_range_* call needs a handful of row-width staging buffers
-// (detail::Scratch). Allocating them per call is invisible in a one-shot
-// evaluation but becomes the dominant non-kernel cost in the host-threaded
-// sweep, where a worker evaluates thousands of small λ chunks per greedy
+// Every staged evaluate_range call needs a handful of row-width staging
+// buffers (one pair per level of the walk). Allocating them per call is
+// invisible in a one-shot evaluation but becomes the dominant non-kernel
+// cost in the host-threaded sweep, where a worker evaluates thousands of small λ chunks per greedy
 // iteration. The arena turns that into a bump-pointer: a worker owns one
 // Arena, resets it before each chunk (reset is a cursor rewind, not a free),
 // and after the first chunk every allocation is served from memory that is

@@ -22,19 +22,6 @@ double seconds_between(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
 }
 
-const char* sweep_scheme_name(const HostSweepOptions& options) {
-  switch (options.hits) {
-    case 2:
-      return scheme_name(options.scheme2);
-    case 3:
-      return scheme_name(options.scheme3);
-    case 5:
-      return scheme_name(options.scheme5);
-    default:
-      return scheme_name(options.scheme4);
-  }
-}
-
 /// One per-chunk winner, tagged with the chunk's begin λ for the
 /// deterministic index-ordered fold.
 struct Candidate {
@@ -52,46 +39,6 @@ struct alignas(64) WorkerOutput {
   std::uint64_t chunks = 0;
   std::uint64_t arena_blocks = 0;
 };
-
-std::uint64_t total_threads(const HostSweepOptions& options, std::uint32_t genes) {
-  switch (options.hits) {
-    case 2:
-      return scheme2_threads(options.scheme2, genes);
-    case 3:
-      return scheme3_threads(options.scheme3, genes);
-    case 4:
-      return scheme4_threads(options.scheme4, genes);
-    case 5:
-      return scheme5_threads(options.scheme5, genes);
-    default:
-      throw std::invalid_argument("host sweep: hits must be in [2, 5]");
-  }
-}
-
-EvalResult evaluate_chunk(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                          const HostSweepOptions& options, std::uint64_t begin,
-                          std::uint64_t end, KernelStats* stats, Arena* arena,
-                          const EvalResult& pilot) {
-  switch (options.hits) {
-    case 2:
-      return evaluate_range_2hit(tumor, normal, ctx, options.scheme2, begin, end,
-                                 options.mem_opts, stats, arena, pilot);
-    case 3:
-      return evaluate_range_3hit(tumor, normal, ctx, options.scheme3, begin, end,
-                                 options.mem_opts, stats, arena, pilot);
-    case 4:
-      return evaluate_range_4hit(tumor, normal, ctx, options.scheme4, begin, end,
-                                 options.mem_opts, stats, arena, pilot);
-    case 5:
-      return evaluate_range_5hit(tumor, normal, ctx, options.scheme5, begin, end,
-                                 options.mem_opts, stats, arena, pilot);
-    default:
-      // total_threads() already rejected every hit count outside [2, 5]; a
-      // bare default routing here to the 5-hit kernel once silently scored
-      // the wrong combination space. Keep the guard loud.
-      throw std::logic_error("host sweep: evaluate_chunk reached with hits outside [2, 5]");
-  }
-}
 
 }  // namespace
 
@@ -135,7 +82,10 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   if (tumor.genes() != normal.genes()) {
     throw std::invalid_argument("host sweep: tumor/normal gene counts differ");
   }
-  const std::uint64_t lambda_end = total_threads(options, tumor.genes());
+  const SchemeShape shape = select_shape(options.hits, options.scheme2, options.scheme3,
+                                         options.scheme4, options.scheme5);
+  require_u64_ranks(tumor.genes(), options.hits);
+  const std::uint64_t lambda_end = scheme_threads(shape, tumor.genes());
   // Every chunk starts from the same pilot, so which staged prefixes the
   // bound skips (and so the dispatched call counts) depends only on the
   // pilot and the chunk's own λ range, never on worker timing.
@@ -172,7 +122,8 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
         // block — per-chunk allocation drops to zero after the first grab.
         arena.reset();
         const EvalResult best =
-            evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena, pilot);
+            evaluate_range(tumor, normal, ctx, shape, begin, end, options.mem_opts,
+                           &out.stats, &arena, pilot);
         ++out.chunks;
         if (best.valid) out.candidates.push_back({begin, best});
       }
@@ -201,8 +152,8 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
         break;
       }
       arena.reset();
-      const EvalResult best =
-          evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena, pilot);
+      const EvalResult best = evaluate_range(tumor, normal, ctx, shape, begin, end,
+                                             options.mem_opts, &out.stats, &arena, pilot);
       mark = Clock::now();
       sample.eval_seconds += seconds_between(claimed_at, mark);
       ++out.chunks;
@@ -238,7 +189,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     setup.chunk_count = queue.chunk_count();
     setup.lambda_end = lambda_end;
     setup.hits = options.hits;
-    setup.scheme = sweep_scheme_name(options);
+    setup.scheme = scheme_name(shape);
     setup.backend = backend_name(active_backend());
     setup.bitops_counted = count_bitops;
     profiler->begin_sweep(setup);

@@ -77,7 +77,7 @@ struct HostSweepTelemetry {
   }
 };
 
-/// The incumbent every sweep chunk starts from (see evaluate_range_4hit):
+/// The incumbent every sweep chunk starts from (see evaluate_range):
 /// one h-combination grown greedily, each step adding the gene whose row
 /// keeps the most tumor samples of the current prefix (lowest index on
 /// ties), scored with f_score and ranked with rank_combination. Invalid

@@ -39,14 +39,12 @@ struct KernelStats {
   std::uint64_t word_ops = 0;      ///< bitwise AND+popcount word operations
   std::uint64_t global_words = 0;  ///< words read from (simulated) global memory
   std::uint64_t local_words = 0;   ///< words served from prefetched local memory
-  std::uint64_t distinct_rows = 0; ///< distinct matrix rows touched (locality proxy)
 
   KernelStats& operator+=(const KernelStats& other) noexcept {
     combinations += other.combinations;
     word_ops += other.word_ops;
     global_words += other.global_words;
     local_words += other.local_words;
-    distinct_rows += other.distinct_rows;
     return *this;
   }
 };

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "combinat/unrank.hpp"
+#include "core/schemes.hpp"
 #include "obs/recorder.hpp"
 #include "util/log.hpp"
 
@@ -44,6 +45,7 @@ void Engine::validate() const {
   if (config_.hits == 0 || config_.hits > tumor_.genes()) {
     throw std::invalid_argument("hits out of range");
   }
+  require_u64_ranks(tumor_.genes(), config_.hits);
 }
 
 bool Engine::commit_one() {

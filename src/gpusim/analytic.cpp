@@ -1,290 +1,28 @@
 #include "gpusim/analytic.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "combinat/linearize.hpp"
 
 namespace multihit {
 
-namespace {
-
-// Threads of [level_first, level_last) that fall inside [begin, end).
-std::uint64_t clip(std::uint64_t level_first, std::uint64_t level_last, std::uint64_t begin,
-                   std::uint64_t end) noexcept {
-  const std::uint64_t lo = std::max(level_first, begin);
-  const std::uint64_t hi = std::min(level_last, end);
-  return hi > lo ? hi - lo : 0;
-}
-
-}  // namespace
-
-KernelStats analytic_stats_4hit(Scheme4 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words) {
+KernelStats analytic_stats(SchemeShape shape, std::uint32_t genes, std::uint64_t begin,
+                           std::uint64_t end, const MemOpts& opts, std::uint32_t tumor_words,
+                           std::uint32_t normal_words) {
   KernelStats stats;
   if (begin >= end) return stats;
-  const std::uint64_t W = static_cast<std::uint64_t>(tumor_words) + normal_words;
-
-  switch (scheme) {
-    case Scheme4::k3x1: {
-      // Levels by largest gene k: threads [C(k,3), C(k+1,3)), work m = G-1-k.
-      const std::uint32_t k_lo = tetrahedral_level(begin);
-      const std::uint32_t k_hi = tetrahedral_level(end - 1);
-      for (std::uint32_t k = k_lo; k <= k_hi; ++k) {
-        const std::uint64_t n = clip(tetrahedral(k), tetrahedral(k + 1), begin, end);
-        if (n == 0) continue;
-        const std::uint64_t m = genes - 1 - k;
-        if (m == 0) continue;  // kernel skips zero-work threads entirely
-        stats.combinations += n * m;
-        stats.distinct_rows += n * 2 * (3 + m);
-        if (opts.prefetch_j) {
-          stats.word_ops += n * (2 + m) * W;
-          stats.global_words += n * (3 + m) * W;
-          stats.local_words += n * m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += n * 3 * m * W;
-          stats.global_words += n * (1 + 3 * m) * W;
-          stats.local_words += n * m * W;
-        } else {
-          stats.word_ops += n * 3 * m * W;
-          stats.global_words += n * 4 * m * W;
-        }
-      }
-      break;
-    }
-    case Scheme4::k2x2: {
-      // Levels by larger gene j: threads [C(j,2), C(j+1,2)), count j.
-      const std::uint32_t j_lo = unrank_pair(begin).j;
-      const std::uint32_t j_hi = unrank_pair(end - 1).j;
-      for (std::uint32_t j = j_lo; j <= j_hi; ++j) {
-        const std::uint64_t n = clip(triangular(j), triangular(j + 1), begin, end);
-        if (n == 0) continue;
-        if (j + 2 >= genes) {  // zero-work thread: kernel counts 4 distinct rows
-          stats.distinct_rows += n * 4;
-          continue;
-        }
-        const std::uint64_t m = triangular(genes - 1 - j);
-        const std::uint64_t nk = genes - 2 - j;
-        stats.combinations += n * m;
-        stats.distinct_rows += n * 2 * (2 + (genes - 1 - j));
-        if (opts.prefetch_j) {
-          stats.word_ops += n * (1 + nk + m) * W;
-          stats.global_words += n * (2 + nk + m) * W;
-          stats.local_words += n * m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += n * 3 * m * W;
-          stats.global_words += n * (1 + 3 * m) * W;
-          stats.local_words += n * m * W;
-        } else {
-          stats.word_ops += n * 3 * m * W;
-          stats.global_words += n * 4 * m * W;
-        }
-      }
-      break;
-    }
-    case Scheme4::k1x3: {
-      for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-        const auto i = static_cast<std::uint32_t>(lambda);
-        const std::uint64_t m = tetrahedral(genes - 1 - i);
-        const std::uint64_t nj = genes >= i + 3 ? genes - 3 - i : 0;
-        const std::uint64_t nk = genes >= i + 2 ? triangular(genes - 2 - i) : 0;
-        stats.combinations += m;
-        stats.distinct_rows += 2 * (genes - i);
-        if (opts.prefetch_j) {
-          stats.word_ops += (nj + nk + m) * W;
-          stats.global_words += (1 + nj + nk + m) * W;
-          stats.local_words += m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += 3 * m * W;
-          stats.global_words += (1 + 3 * m) * W;
-          stats.local_words += m * W;
-        } else {
-          stats.word_ops += 3 * m * W;
-          stats.global_words += 4 * m * W;
-        }
-      }
-      break;
-    }
-    case Scheme4::k4x1: {
-      const std::uint64_t n = end - begin;
-      stats.combinations += n;
-      stats.word_ops += n * 3 * W;
-      stats.global_words += n * 4 * W;
-      stats.distinct_rows += n * 8;
-      break;
-    }
-  }
-  return stats;
-}
-
-KernelStats analytic_stats_3hit(Scheme3 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words) {
-  KernelStats stats;
-  if (begin >= end) return stats;
-  const std::uint64_t W = static_cast<std::uint64_t>(tumor_words) + normal_words;
-
-  switch (scheme) {
-    case Scheme3::k2x1: {
-      const std::uint32_t j_lo = unrank_pair(begin).j;
-      const std::uint32_t j_hi = unrank_pair(end - 1).j;
-      for (std::uint32_t j = j_lo; j <= j_hi; ++j) {
-        const std::uint64_t n = clip(triangular(j), triangular(j + 1), begin, end);
-        if (n == 0) continue;
-        const std::uint64_t m = genes - 1 - j;
-        if (m == 0) {
-          stats.distinct_rows += n * 4;
-          continue;
-        }
-        stats.combinations += n * m;
-        stats.distinct_rows += n * 2 * (2 + m);
-        if (opts.prefetch_j) {
-          stats.word_ops += n * (1 + m) * W;
-          stats.global_words += n * (2 + m) * W;
-          stats.local_words += n * m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += n * 2 * m * W;
-          stats.global_words += n * (1 + 2 * m) * W;
-          stats.local_words += n * m * W;
-        } else {
-          stats.word_ops += n * 2 * m * W;
-          stats.global_words += n * 3 * m * W;
-        }
-      }
-      break;
-    }
-    case Scheme3::k1x2: {
-      for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-        const auto i = static_cast<std::uint32_t>(lambda);
-        const std::uint64_t m = triangular(genes - 1 - i);
-        const std::uint64_t nj = genes >= i + 2 ? genes - 2 - i : 0;
-        stats.combinations += m;
-        stats.distinct_rows += 2 * (genes - i);
-        if (opts.prefetch_j) {
-          stats.word_ops += (nj + m) * W;
-          stats.global_words += (1 + nj + m) * W;
-          stats.local_words += m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += 2 * m * W;
-          stats.global_words += (1 + 2 * m) * W;
-          stats.local_words += m * W;
-        } else {
-          stats.word_ops += 2 * m * W;
-          stats.global_words += 3 * m * W;
-        }
-      }
-      break;
-    }
-    case Scheme3::k3x1: {
-      const std::uint64_t n = end - begin;
-      stats.combinations += n;
-      stats.word_ops += n * 2 * W;
-      stats.global_words += n * 3 * W;
-      stats.distinct_rows += n * 6;
-      break;
-    }
-  }
-  return stats;
-}
-
-KernelStats analytic_stats_2hit(Scheme2 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words) {
-  KernelStats stats;
-  if (begin >= end) return stats;
-  const std::uint64_t W = static_cast<std::uint64_t>(tumor_words) + normal_words;
-  const bool prefetch = opts.prefetch_i || opts.prefetch_j;
-
-  switch (scheme) {
-    case Scheme2::k1x1: {
-      for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-        const auto i = static_cast<std::uint32_t>(lambda);
-        const std::uint64_t m = genes - 1 - i;
-        if (m == 0) continue;
-        stats.combinations += m;
-        stats.word_ops += m * W;
-        stats.global_words += (prefetch ? W : 0) + m * (prefetch ? 1 : 2) * W;
-        stats.local_words += prefetch ? m * W : 0;
-        stats.distinct_rows += 2 * (genes - i);
-      }
-      break;
-    }
-    case Scheme2::k2x1: {
-      const std::uint64_t n = end - begin;
-      stats.combinations += n;
-      stats.word_ops += n * W;
-      stats.global_words += n * 2 * W;
-      stats.distinct_rows += n * 4;
-      break;
-    }
-  }
-  return stats;
-}
-
-KernelStats analytic_stats_5hit(Scheme5 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words) {
-  KernelStats stats;
-  if (begin >= end) return stats;
-  const std::uint64_t W = static_cast<std::uint64_t>(tumor_words) + normal_words;
-
-  switch (scheme) {
-    case Scheme5::k4x1: {
-      // Levels by largest gene l: threads [C(l,4), C(l+1,4)), work m = G-1-l.
-      const std::uint32_t l_lo = quartic_level(begin);
-      const std::uint32_t l_hi = quartic_level(end - 1);
-      for (std::uint32_t l = l_lo; l <= l_hi; ++l) {
-        const std::uint64_t n = clip(quartic(l), quartic(l + 1), begin, end);
-        if (n == 0) continue;
-        const std::uint64_t m = genes - 1 - l;
-        if (m == 0) continue;
-        stats.combinations += n * m;
-        stats.distinct_rows += n * 2 * (4 + m);
-        if (opts.prefetch_j) {
-          stats.word_ops += n * (3 + m) * W;
-          stats.global_words += n * (4 + m) * W;
-          stats.local_words += n * m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += n * 4 * m * W;
-          stats.global_words += n * (1 + 4 * m) * W;
-          stats.local_words += n * m * W;
-        } else {
-          stats.word_ops += n * 4 * m * W;
-          stats.global_words += n * 5 * m * W;
-        }
-      }
-      break;
-    }
-    case Scheme5::k3x2: {
-      const std::uint32_t k_lo = tetrahedral_level(begin);
-      const std::uint32_t k_hi = tetrahedral_level(end - 1);
-      for (std::uint32_t k = k_lo; k <= k_hi; ++k) {
-        const std::uint64_t n = clip(tetrahedral(k), tetrahedral(k + 1), begin, end);
-        if (n == 0) continue;
-        if (k + 2 >= genes) {
-          stats.distinct_rows += n * 6;
-          continue;
-        }
-        const std::uint64_t m = triangular(genes - 1 - k);
-        const std::uint64_t nl = genes - 2 - k;
-        stats.combinations += n * m;
-        stats.distinct_rows += n * 2 * (3 + (genes - 1 - k));
-        if (opts.prefetch_j) {
-          stats.word_ops += n * (2 + nl + m) * W;
-          stats.global_words += n * (3 + nl + m) * W;
-          stats.local_words += n * m * W;
-        } else if (opts.prefetch_i) {
-          stats.word_ops += n * 4 * m * W;
-          stats.global_words += n * (1 + 4 * m) * W;
-          stats.local_words += n * m * W;
-        } else {
-          stats.word_ops += n * 4 * m * W;
-          stats.global_words += n * 5 * m * W;
-        }
-      }
-      break;
-    }
+  const std::uint64_t row_words = std::uint64_t{tumor_words} + normal_words;
+  const std::uint32_t p = shape.prefix;
+  // Level c holds threads [C(c,p), C(c+1,p)); sum its clipped share of
+  // [begin, end) times the per-thread cost.
+  const std::uint32_t last = combination_level(end - 1, p);
+  for (std::uint32_t c = combination_level(begin, p); c <= last; ++c) {
+    const std::uint64_t lo = std::max(small_binomial(c, p), begin);
+    const std::uint64_t hi = std::min(small_binomial(c + 1, p), end);
+    if (hi <= lo) continue;
+    const std::uint64_t n = hi - lo;
+    const KernelStats one = thread_cost(shape, genes, c, row_words, opts);
+    stats += {n * one.combinations, n * one.word_ops, n * one.global_words, n * one.local_words};
   }
   return stats;
 }

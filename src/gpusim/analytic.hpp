@@ -2,11 +2,11 @@
 // Closed-form kernel accounting.
 //
 // For full-scale spaces (C(19411,4) ≈ 5.9e15 combinations) the enumeration
-// kernels cannot run, but their operation and traffic counts are exactly
-// summable over the level structure of each scheme. These functions produce
-// byte-for-byte the same KernelStats the kernels in core/schemes.cpp count —
-// a property pinned by tests — which is what lets the performance model
-// price paper-scale runs without enumerating anything.
+// kernel cannot run, but its operation and traffic counts are exactly
+// summable over the level structure of each shape: every thread whose
+// largest prefix gene is c costs the same thread_cost (core/schemes.hpp),
+// the one formula the kernel itself counts with. That is what lets the
+// performance model price paper-scale runs without enumerating anything.
 
 #include <cstdint>
 
@@ -14,25 +14,10 @@
 
 namespace multihit {
 
-/// Stats the 4-hit kernel would count over threads [begin, end).
+/// Stats evaluate_range would count over threads [begin, end) of `shape`.
 /// `tumor_words` / `normal_words` are the packed row widths.
-KernelStats analytic_stats_4hit(Scheme4 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words);
-
-/// Stats the 3-hit kernel would count over threads [begin, end).
-KernelStats analytic_stats_3hit(Scheme3 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words);
-
-/// Stats the 2-hit kernel would count over threads [begin, end).
-KernelStats analytic_stats_2hit(Scheme2 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words);
-
-/// Stats the 5-hit kernel would count over threads [begin, end).
-KernelStats analytic_stats_5hit(Scheme5 scheme, std::uint32_t genes, std::uint64_t begin,
-                                std::uint64_t end, const MemOpts& opts,
-                                std::uint32_t tumor_words, std::uint32_t normal_words);
+KernelStats analytic_stats(SchemeShape shape, std::uint32_t genes, std::uint64_t begin,
+                           std::uint64_t end, const MemOpts& opts, std::uint32_t tumor_words,
+                           std::uint32_t normal_words);
 
 }  // namespace multihit

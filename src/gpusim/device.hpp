@@ -51,30 +51,13 @@ class GpuDevice {
   /// results or modeled times.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Runs the 4-hit maxF + parallelReduceMax pipeline over threads
-  /// [partition.begin, partition.end) of `scheme`.
-  DeviceRunResult run_4hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme4 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
-
-  /// 3-hit counterpart.
-  DeviceRunResult run_3hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme3 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
-
-  /// 2-hit counterpart.
-  DeviceRunResult run_2hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme2 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
-
-  /// 5-hit counterpart (requires C(genes,5) to fit u64).
-  DeviceRunResult run_5hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme5 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
+  /// Runs the maxF + parallelReduceMax pipeline over threads
+  /// [partition.begin, partition.end) of `shape`.
+  DeviceRunResult run(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                      SchemeShape shape, const Partition& partition,
+                      const MemOpts& opts = {}) const;
 
  private:
-  template <typename EvalBlock>
-  DeviceRunResult run_pipeline(const Partition& partition, EvalBlock&& eval_block) const;
   void record_launch(const DeviceRunResult& result, const Partition& partition) const;
 
   DeviceSpec spec_;

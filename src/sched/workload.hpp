@@ -2,8 +2,10 @@
 // Analytic per-thread workload models.
 //
 // Every scheme's thread space decomposes into contiguous *levels* of equal
-// per-thread work (paper §III-C): e.g. for the 3x1 scheme all C(k,2) threads
-// whose largest gene is k run an inner loop of exactly G-1-k iterations.
+// per-thread work (paper §III-C): all C(c, p-1) threads whose largest prefix
+// gene is c share one thread_cost (core/schemes.hpp) — e.g. for the 3x1
+// scheme all C(k,2) threads whose largest gene is k run an inner loop of
+// exactly G-1-k iterations.
 // The O(G) equi-area scheduler exploits exactly this structure, as does the
 // exact prefix-work arithmetic used to audit any partition.
 
@@ -26,10 +28,12 @@ struct WorkLevel {
 /// Level-structured description of one scheme's thread space.
 class WorkloadModel {
  public:
+  /// One level {C(c,p), C(c,p-1), work} per largest prefix gene c in
+  /// [p-1, G); a shape with one combination per thread is a single level.
+  static WorkloadModel for_shape(SchemeShape shape, std::uint32_t genes);
   static WorkloadModel for_scheme4(Scheme4 scheme, std::uint32_t genes);
   static WorkloadModel for_scheme3(Scheme3 scheme, std::uint32_t genes);
   static WorkloadModel for_scheme2(Scheme2 scheme, std::uint32_t genes);
-  /// Requires C(genes,5) to fit u64 (genes <= 18580).
   static WorkloadModel for_scheme5(Scheme5 scheme, std::uint32_t genes);
 
   std::uint32_t genes() const noexcept { return genes_; }

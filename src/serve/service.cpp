@@ -34,22 +34,6 @@ std::uint32_t ceil_log2(std::uint32_t n) noexcept {
   return levels;
 }
 
-/// Same hit-count -> scheme mapping as make_kernel_evaluator (the paper's
-/// full-flattening winners), so the time model prices the kernels that
-/// actually run.
-WorkloadModel model_for_hits(std::uint32_t hits, std::uint32_t genes) {
-  switch (hits) {
-    case 2:
-      return WorkloadModel::for_scheme2(Scheme2::k1x1, genes);
-    case 3:
-      return WorkloadModel::for_scheme3(Scheme3::k2x1, genes);
-    case 5:
-      return WorkloadModel::for_scheme5(Scheme5::k4x1, genes);
-    default:
-      return WorkloadModel::for_scheme4(Scheme4::k3x1, genes);
-  }
-}
-
 /// One admitted, unfinished job: its Engine session plus the workload model
 /// the scheduler prices it with.
 struct ActiveJob {
@@ -301,7 +285,8 @@ ServeResult JobService::replay(const RequestTrace& trace) {
     a.record = job.id;
     a.engine = std::make_unique<Engine>(data.tumor, data.normal, std::move(config),
                                         make_kernel_evaluator(job.hits));
-    a.model = model_for_hits(job.hits, data.genes());
+    // Price the shape make_kernel_evaluator runs.
+    a.model = WorkloadModel::for_shape(innermost_shape(job.hits), data.genes());
     a.normal_words = words_for(data.normal_samples());
     a.tenant = req.tenant;
     a.priority = req.priority;

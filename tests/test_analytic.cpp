@@ -36,7 +36,6 @@ void expect_stats_eq(const KernelStats& a, const KernelStats& b, const char* con
   EXPECT_EQ(a.word_ops, b.word_ops) << context;
   EXPECT_EQ(a.global_words, b.global_words) << context;
   EXPECT_EQ(a.local_words, b.local_words) << context;
-  EXPECT_EQ(a.distinct_rows, b.distinct_rows) << context;
 }
 
 using OptCase = std::tuple<bool, bool>;  // prefetch_i, prefetch_j
@@ -60,7 +59,7 @@ TEST_P(AnalyticStats4, MatchesCountedStatsOnRandomRanges) {
     if (a > b) std::swap(a, b);
     KernelStats counted;
     evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
-    const KernelStats analytic = analytic_stats_4hit(scheme, 24, a, b, opts, wt, wn);
+    const KernelStats analytic = analytic_stats(shape_of(scheme), 24, a, b, opts, wt, wn);
     expect_stats_eq(analytic, counted,
                     (std::string(scheme_name(scheme)) + " range [" + std::to_string(a) + "," +
                      std::to_string(b) + ")")
@@ -76,7 +75,7 @@ TEST_P(AnalyticStats4, FullRangeMatchesCounted) {
   evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, scheme, 0,
                       scheme4_threads(scheme, 20), opts, &counted);
   const KernelStats analytic =
-      analytic_stats_4hit(scheme, 20, 0, scheme4_threads(scheme, 20), opts,
+      analytic_stats(shape_of(scheme), 20, 0, scheme4_threads(scheme, 20), opts,
                           f.data.tumor.words_per_row(), f.data.normal.words_per_row());
   expect_stats_eq(analytic, counted, scheme_name(scheme));
 }
@@ -105,7 +104,7 @@ TEST_P(AnalyticStats3, MatchesCountedStatsOnRandomRanges) {
     if (a > b) std::swap(a, b);
     KernelStats counted;
     evaluate_range_3hit(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
-    const KernelStats analytic = analytic_stats_3hit(scheme, 30, a, b, opts, wt, wn);
+    const KernelStats analytic = analytic_stats(shape_of(scheme), 30, a, b, opts, wt, wn);
     expect_stats_eq(analytic, counted, scheme_name(scheme));
   }
 }
@@ -118,8 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AnalyticStats, PaperScaleTotalsAreFinite) {
   // Full BRCA 3x1 space: combination total must be exactly C(19411,4).
-  const KernelStats stats = analytic_stats_4hit(
-      Scheme4::k3x1, 19411, 0, scheme4_threads(Scheme4::k3x1, 19411),
+  const KernelStats stats = analytic_stats(
+      shape_of(Scheme4::k3x1), 19411, 0, scheme4_threads(Scheme4::k3x1, 19411),
       MemOpts{.prefetch_i = true, .prefetch_j = true}, 15, 9);
   EXPECT_EQ(stats.combinations, quartic(19411));
   // With full prefetch the inner loop reads one row per matrix per combo.
@@ -130,17 +129,16 @@ TEST(AnalyticStats, AdditivityOverAdjacentRanges) {
   const std::uint32_t G = 26;
   const u64 total = scheme4_threads(Scheme4::k3x1, G);
   const MemOpts opts{.prefetch_j = true};
-  const auto whole = analytic_stats_4hit(Scheme4::k3x1, G, 0, total, opts, 3, 2);
+  const auto whole = analytic_stats(shape_of(Scheme4::k3x1), G, 0, total, opts, 3, 2);
   KernelStats sum;
   for (u64 piece = 0; piece < 5; ++piece) {
-    sum += analytic_stats_4hit(Scheme4::k3x1, G, total * piece / 5, total * (piece + 1) / 5,
+    sum += analytic_stats(shape_of(Scheme4::k3x1), G, total * piece / 5, total * (piece + 1) / 5,
                                opts, 3, 2);
   }
   EXPECT_EQ(sum.combinations, whole.combinations);
   EXPECT_EQ(sum.word_ops, whole.word_ops);
   EXPECT_EQ(sum.global_words, whole.global_words);
   EXPECT_EQ(sum.local_words, whole.local_words);
-  EXPECT_EQ(sum.distinct_rows, whole.distinct_rows);
 }
 
 }  // namespace

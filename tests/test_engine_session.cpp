@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -215,6 +216,22 @@ TEST(EngineSession, ValidatesLikeRunGreedy) {
   zero_hits.hits = 0;
   EXPECT_THROW(Engine(data.tumor, data.normal, zero_hits, make_serial_evaluator(4)),
                std::invalid_argument);
+}
+
+TEST(EngineSession, RejectsCombinationSpacesWhoseRanksOverflowU64) {
+  // C(18580, 5) fits u64 and C(18581, 5) does not: past that, the colex rank
+  // of the last combination wraps and unranks to a different winner.
+  EngineConfig config;
+  config.hits = 5;
+  EXPECT_NO_THROW(Engine(BitMatrix(18580, 8), BitMatrix(18580, 8), config,
+                         make_kernel_evaluator(5)));
+  try {
+    Engine(BitMatrix(18581, 8), BitMatrix(18581, 8), config, make_kernel_evaluator(5));
+    ADD_FAILURE() << "G = 18581 at h = 5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("G=18581"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("h=5"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

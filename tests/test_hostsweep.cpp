@@ -236,6 +236,19 @@ TEST(HostSweep, RejectsInvalidConfigurations) {
                std::invalid_argument);
 }
 
+TEST(HostSweep, RejectsCombinationSpacesWhoseRanksOverflowU64) {
+  // The check runs before the pilot, whose rank_combination would otherwise
+  // terminate on the wrapped rank of {18576, ..., 18580}. G = 18580 passes
+  // the same require_u64_ranks (its sweep is far too large to run here).
+  HostSweepOptions options;
+  options.hits = 5;
+  const BitMatrix rows(18581, 8);
+  const FContext ctx{FParams{}, 8, 8};
+  EXPECT_THROW((void)host_sweep_find_best(rows, rows, ctx, options), std::invalid_argument);
+  EXPECT_NO_THROW(require_u64_ranks(18580, 5));
+  EXPECT_THROW(require_u64_ranks(18581, 5), std::invalid_argument);
+}
+
 TEST(HostSweep, FiveHitRoutesToTheFiveHitKernel) {
   // evaluate_chunk's dispatch once reached 5-hit through a bare `default:`;
   // now case 5 is explicit and the default throws. Pin the 5-hit route

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -233,62 +235,52 @@ TEST(Schemes, TieBreakPicksLowestRank) {
   }
 }
 
-// --- staged-scan differential ------------------------------------------------
+// --- independent differential ----------------------------------------------
 //
-// Every staged (MemOpt2) inner loop scores its rows through one batched
-// and_popcount_rows call per staged prefix. Pin each staged scheme, over
-// randomly chunked λ ranges with and without an Arena, to the serial
-// reference (winner, F, TP, TN) and the analytic model (KernelStats), and
-// each single thread λ to the per-combination MemOpt-off path.
+// Every shape under MemOpt off, MemOpt1 (prefetch_i) and MemOpt2 is pinned,
+// per λ chunk and per thread, against a brute force local to this file: it
+// steps through every h-combination from unrank_combination(0, h) with
+// next_combination_colex, scores each with intersect_count, ranks it with
+// rank_combination, and files it under the colex rank of its p-gene prefix
+// (the thread that owns it). It shares no enumeration code with the kernel.
 
-struct StagedScheme {
-  std::uint32_t hits;
-  int scheme;  ///< enumerator of Scheme2/3/4/5 for `hits`
+struct ShapeCase {
+  SchemeShape shape;
   std::uint32_t genes;
 };
 
-void PrintTo(const StagedScheme& s, std::ostream* os) {
-  *os << s.hits << "-hit scheme " << s.scheme << " at G=" << s.genes;
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << c.shape.hits << "-hit " << scheme_name(c.shape) << " at G=" << c.genes;
 }
 
-u64 staged_threads(const StagedScheme& s) {
-  switch (s.hits) {
-    case 2: return scheme2_threads(static_cast<Scheme2>(s.scheme), s.genes);
-    case 3: return scheme3_threads(static_cast<Scheme3>(s.scheme), s.genes);
-    case 4: return scheme4_threads(static_cast<Scheme4>(s.scheme), s.genes);
-    default: return scheme5_threads(static_cast<Scheme5>(s.scheme), s.genes);
-  }
+std::string shape_label(const ShapeCase& c) {
+  return "h" + std::to_string(c.shape.hits) + "_" + scheme_name(c.shape);
 }
 
-EvalResult staged_eval(const StagedScheme& s, const Dataset& d, const FContext& ctx, u64 begin,
-                       u64 end, const MemOpts& opts, KernelStats* stats, Arena* arena,
-                       const EvalResult& incumbent = {}) {
-  switch (s.hits) {
-    case 2:
-      return evaluate_range_2hit(d.tumor, d.normal, ctx, static_cast<Scheme2>(s.scheme), begin,
-                                 end, opts, stats, arena, incumbent);
-    case 3:
-      return evaluate_range_3hit(d.tumor, d.normal, ctx, static_cast<Scheme3>(s.scheme), begin,
-                                 end, opts, stats, arena, incumbent);
-    case 4:
-      return evaluate_range_4hit(d.tumor, d.normal, ctx, static_cast<Scheme4>(s.scheme), begin,
-                                 end, opts, stats, arena, incumbent);
-    default:
-      return evaluate_range_5hit(d.tumor, d.normal, ctx, static_cast<Scheme5>(s.scheme), begin,
-                                 end, opts, stats, arena, incumbent);
-  }
+// The best combination of every thread λ, by brute force.
+std::vector<EvalResult> brute_force_per_thread(const Dataset& d, const FContext& ctx,
+                                               SchemeShape shape) {
+  std::vector<EvalResult> best(scheme_threads(shape, d.tumor.genes()));
+  std::vector<std::uint32_t> combo = unrank_combination(0, shape.hits);
+  do {
+    const u64 tp = d.tumor.intersect_count(combo);
+    const u64 nh = d.normal.intersect_count(combo);
+    EvalResult r;
+    r.valid = true;
+    r.f = f_score(ctx, tp, nh);
+    r.combo_rank = rank_combination(combo);
+    r.tp = tp;
+    r.tn = ctx.normal_total - nh;
+    const u64 owner = rank_combination(std::span(combo).first(shape.prefix));
+    best.at(owner) = merge_results(best.at(owner), r);
+  } while (next_combination_colex(combo, d.tumor.genes()));
+  return best;
 }
 
-KernelStats staged_analytic(const StagedScheme& s, u64 end, const MemOpts& opts,
-                            const Dataset& d) {
-  const std::uint32_t wt = d.tumor.words_per_row();
-  const std::uint32_t wn = d.normal.words_per_row();
-  switch (s.hits) {
-    case 2: return analytic_stats_2hit(static_cast<Scheme2>(s.scheme), s.genes, 0, end, opts, wt, wn);
-    case 3: return analytic_stats_3hit(static_cast<Scheme3>(s.scheme), s.genes, 0, end, opts, wt, wn);
-    case 4: return analytic_stats_4hit(static_cast<Scheme4>(s.scheme), s.genes, 0, end, opts, wt, wn);
-    default: return analytic_stats_5hit(static_cast<Scheme5>(s.scheme), s.genes, 0, end, opts, wt, wn);
-  }
+EvalResult reference(const std::vector<EvalResult>& per_thread, u64 begin, u64 end) {
+  EvalResult best;
+  for (u64 lambda = begin; lambda < end; ++lambda) best = merge_results(best, per_thread[lambda]);
+  return best;
 }
 
 void expect_same_winner(const EvalResult& got, const EvalResult& want, const std::string& label) {
@@ -304,91 +296,119 @@ void expect_stats_eq(const KernelStats& got, const KernelStats& want, const std:
   EXPECT_EQ(got.word_ops, want.word_ops) << label;
   EXPECT_EQ(got.global_words, want.global_words) << label;
   EXPECT_EQ(got.local_words, want.local_words) << label;
-  EXPECT_EQ(got.distinct_rows, want.distinct_rows) << label;
 }
 
-std::string scheme_label(const StagedScheme& s) {
-  const char* name = s.hits == 2   ? scheme_name(static_cast<Scheme2>(s.scheme))
-                     : s.hits == 3 ? scheme_name(static_cast<Scheme3>(s.scheme))
-                     : s.hits == 4 ? scheme_name(static_cast<Scheme4>(s.scheme))
-                                   : scheme_name(static_cast<Scheme5>(s.scheme));
-  return "h" + std::to_string(s.hits) + "_" + name;
+// Every tumor sample carries every gene and no normal sample carries any, so
+// all combinations tie on F and only the rank decides.
+Dataset all_tied(std::uint32_t genes, std::uint32_t tumor_samples, std::uint32_t normal_samples) {
+  Dataset d;
+  d.tumor = BitMatrix(genes, tumor_samples);
+  d.normal = BitMatrix(genes, normal_samples);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < tumor_samples; ++s) d.tumor.set(g, s);
+  }
+  return d;
 }
 
-class StagedScanDifferential : public ::testing::TestWithParam<StagedScheme> {};
+// Trial inputs: a sparse and a dense planted matrix (row widths spread over
+// 1..5 words; the sparse one leaves many equal-F combinations), the all-tied
+// matrix, and an all-zero matrix where every combination scores F(0, 0).
+Dataset trial_input(const ShapeCase& c, int trial, Rng& rng, FContext* ctx) {
+  if (trial >= 2) {
+    Dataset d = all_tied(c.genes, 70, 50);
+    if (trial == 3) d.tumor = BitMatrix(c.genes, 70);
+    *ctx = FContext{FParams{}, 70, 50};
+    return d;
+  }
+  SyntheticSpec spec;
+  spec.genes = c.genes;
+  spec.tumor_samples = 20 + static_cast<std::uint32_t>(rng.uniform(300));
+  spec.normal_samples = 20 + static_cast<std::uint32_t>(rng.uniform(200));
+  spec.hits = c.shape.hits;
+  spec.num_combinations = 2;
+  spec.background_rate = trial == 0 ? 0.01 : 0.25;
+  spec.seed = rng();
+  *ctx = FContext{FParams{}, spec.tumor_samples, spec.normal_samples};
+  return generate_dataset(spec);
+}
 
-TEST_P(StagedScanDifferential, ChunkedRangesMatchSerialMemOptOffAndAnalytic) {
-  const StagedScheme s = GetParam();
-  Rng rng(9000 + 10 * s.hits + static_cast<u64>(s.scheme));
+const MemOpts kOptSettings[] = {MemOpts{}, MemOpts{.prefetch_i = true},
+                                MemOpts{.prefetch_i = true, .prefetch_j = true}};
+
+std::string opt_label(const MemOpts& opts) {
+  return opts.prefetch_j ? " memopt2" : opts.prefetch_i ? " memopt1" : " memopt-off";
+}
+
+std::vector<u64> random_cuts(u64 total, Rng& rng) {
+  std::vector<u64> cuts = {0, total};
+  for (int c = 0; c < 6; ++c) cuts.push_back(rng.uniform(total + 1));
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
+class StagedScanDifferential : public ::testing::TestWithParam<ShapeCase> {};
+
+TEST_P(StagedScanDifferential, ChunkedRangesMatchBruteForceAndAnalytic) {
+  const ShapeCase c = GetParam();
+  const SchemeShape shape = c.shape;
+  Rng rng(9000 + 10 * shape.hits + shape.prefix);
   for (int trial = 0; trial < 4; ++trial) {
-    // Sample counts spread row widths over 1..5 words; a sparse background
-    // leaves many equal-F combinations, so the rank tie-break is exercised.
-    SyntheticSpec spec;
-    spec.genes = s.genes;
-    spec.tumor_samples = 20 + static_cast<std::uint32_t>(rng.uniform(300));
-    spec.normal_samples = 20 + static_cast<std::uint32_t>(rng.uniform(200));
-    spec.hits = s.hits;
-    spec.num_combinations = 2;
-    spec.background_rate = trial % 2 == 0 ? 0.01 : 0.25;
-    spec.seed = rng();
-    const Dataset d = generate_dataset(spec);
-    const FContext ctx{FParams{}, spec.tumor_samples, spec.normal_samples};
-    const std::string label = "hits=" + std::to_string(s.hits) + " trial=" + std::to_string(trial);
+    FContext ctx;
+    const Dataset d = trial_input(c, trial, rng, &ctx);
+    const std::string label = shape_label(c) + " trial=" + std::to_string(trial);
+    const u64 total = scheme_threads(shape, c.genes);
+    const std::vector<EvalResult> per_thread = brute_force_per_thread(d, ctx, shape);
+    const EvalResult serial = serial_find_best(d.tumor, d.normal, ctx, shape.hits);
+    expect_same_winner(reference(per_thread, 0, total), serial, label + " brute force");
 
-    const u64 total = staged_threads(s);
-    const EvalResult serial = serial_find_best(d.tumor, d.normal, ctx, s.hits);
-    const EvalResult off = staged_eval(s, d, ctx, 0, total, {}, nullptr, nullptr);
-    expect_same_winner(off, serial, label + " memopt-off");
-
-    std::vector<u64> cuts = {0, total};
-    for (int c = 0; c < 6; ++c) cuts.push_back(rng.uniform(total + 1));
-    std::sort(cuts.begin(), cuts.end());
-    const MemOpts staged{.prefetch_i = trial % 2 == 1, .prefetch_j = true};
-    const KernelStats analytic = staged_analytic(s, total, staged, d);
-    for (const bool use_arena : {false, true}) {
-      Arena arena;
-      EvalResult merged;
-      KernelStats stats;
-      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-        arena.reset();
-        merged = merge_results(merged, staged_eval(s, d, ctx, cuts[c], cuts[c + 1], staged,
-                                                   &stats, use_arena ? &arena : nullptr));
+    const std::vector<u64> cuts = random_cuts(total, rng);
+    for (const MemOpts& opts : kOptSettings) {
+      const KernelStats analytic = analytic_stats(shape, c.genes, 0, total, opts,
+                                                  d.tumor.words_per_row(),
+                                                  d.normal.words_per_row());
+      for (const bool use_arena : {false, true}) {
+        Arena arena;
+        EvalResult merged;
+        KernelStats stats;
+        const std::string where = label + opt_label(opts) + (use_arena ? " arena" : " heap");
+        for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+          arena.reset();
+          const EvalResult got = evaluate_range(d.tumor, d.normal, ctx, shape, cuts[k],
+                                                cuts[k + 1], opts, &stats,
+                                                use_arena ? &arena : nullptr);
+          expect_same_winner(got, reference(per_thread, cuts[k], cuts[k + 1]),
+                             where + " chunk=" + std::to_string(k));
+          merged = merge_results(merged, got);
+        }
+        expect_same_winner(merged, serial, where);
+        expect_stats_eq(stats, analytic, where);
       }
-      const std::string where = label + (use_arena ? " arena" : " heap");
-      expect_same_winner(merged, serial, where);
-      expect_stats_eq(stats, analytic, where);
-    }
-    // Thread by thread, the staged scan picks what the per-combination path
-    // picks: a scan that drops or shifts a row shows up in some thread's
-    // winner even when the global winner lies elsewhere.
-    for (u64 lambda = 0; lambda < total; ++lambda) {
-      expect_same_winner(staged_eval(s, d, ctx, lambda, lambda + 1, staged, nullptr, nullptr),
-                         staged_eval(s, d, ctx, lambda, lambda + 1, {}, nullptr, nullptr),
-                         label + " lambda=" + std::to_string(lambda));
-      if (HasFailure()) return;
+      // Thread by thread: a scan that drops or shifts a row shows up in some
+      // thread's winner even when the global winner lies elsewhere.
+      for (u64 lambda = 0; lambda < total; ++lambda) {
+        expect_same_winner(
+            evaluate_range(d.tumor, d.normal, ctx, shape, lambda, lambda + 1, opts),
+            per_thread[lambda], label + opt_label(opts) + " lambda=" + std::to_string(lambda));
+        if (HasFailure()) return;
+      }
     }
     if (HasFailure()) return;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStagedSchemes, StagedScanDifferential,
-    ::testing::Values(StagedScheme{2, static_cast<int>(Scheme2::k1x1), 40},
-                      StagedScheme{3, static_cast<int>(Scheme3::k1x2), 26},
-                      StagedScheme{3, static_cast<int>(Scheme3::k2x1), 26},
-                      StagedScheme{4, static_cast<int>(Scheme4::k1x3), 18},
-                      StagedScheme{4, static_cast<int>(Scheme4::k2x2), 18},
-                      StagedScheme{4, static_cast<int>(Scheme4::k3x1), 18},
-                      StagedScheme{5, static_cast<int>(Scheme5::k3x2), 14},
-                      StagedScheme{5, static_cast<int>(Scheme5::k4x1), 14}),
-    [](const auto& info) { return scheme_label(info.param); });
+const ShapeCase kAllShapes[] = {
+    {{2, 1}, 40}, {{2, 2}, 40}, {{3, 1}, 26}, {{3, 2}, 26}, {{3, 3}, 26}, {{4, 1}, 18},
+    {{4, 2}, 18}, {{4, 3}, 18}, {{4, 4}, 18}, {{5, 3}, 14}, {{5, 4}, 14}};
+
+INSTANTIATE_TEST_SUITE_P(AllShapes, StagedScanDifferential, ::testing::ValuesIn(kAllShapes),
+                         [](const auto& info) { return shape_label(info.param); });
 
 // --- incumbent differential --------------------------------------------------
-// Every kernel, staged or not, returns merge_results(incumbent, best over its
-// range), and the prefix bound must never change that: each chunk's result is
-// pinned against the unpruned MemOpt-off result merged with the incumbent,
-// for incumbents that prune nothing, some, or everything, and KernelStats
-// stay the analytic count however much is skipped.
+// Every kernel returns merge_results(incumbent, best over its range), and the
+// prefix bound must never change that: each chunk's result is pinned against
+// the brute-force best merged with the incumbent, for incumbents that prune
+// nothing, some, or everything, and KernelStats stay the analytic count
+// however much is skipped.
 
 // The combination of colex rank `rank`, scored as the serial reference does.
 EvalResult scored(const Dataset& d, const FContext& ctx, std::uint32_t hits, u64 rank) {
@@ -404,50 +424,25 @@ EvalResult scored(const Dataset& d, const FContext& ctx, std::uint32_t hits, u64
   return r;
 }
 
-// Every tumor sample carries every gene and no normal sample carries any, so
-// all combinations tie on F and only the rank decides.
-Dataset all_tied(std::uint32_t genes, std::uint32_t tumor_samples, std::uint32_t normal_samples) {
-  Dataset d;
-  d.tumor = BitMatrix(genes, tumor_samples);
-  d.normal = BitMatrix(genes, normal_samples);
-  for (std::uint32_t g = 0; g < genes; ++g) {
-    for (std::uint32_t s = 0; s < tumor_samples; ++s) d.tumor.set(g, s);
-  }
-  return d;
-}
-
-class IncumbentDifferential : public ::testing::TestWithParam<StagedScheme> {};
+class IncumbentDifferential : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(IncumbentDifferential, ResultIsIncumbentMergedWithUnprunedBest) {
-  const StagedScheme s = GetParam();
-  Rng rng(9500 + 10 * s.hits + static_cast<u64>(s.scheme));
-  for (int trial = 0; trial < 3; ++trial) {
-    Dataset d;
+  const ShapeCase c = GetParam();
+  const SchemeShape shape = c.shape;
+  Rng rng(9500 + 10 * shape.hits + shape.prefix);
+  for (int trial = 0; trial < 4; ++trial) {
     FContext ctx;
-    if (trial < 2) {
-      SyntheticSpec spec;
-      spec.genes = s.genes;
-      spec.tumor_samples = 20 + static_cast<std::uint32_t>(rng.uniform(300));
-      spec.normal_samples = 20 + static_cast<std::uint32_t>(rng.uniform(200));
-      spec.hits = s.hits;
-      spec.num_combinations = 2;
-      spec.background_rate = trial == 0 ? 0.01 : 0.25;
-      spec.seed = rng();
-      d = generate_dataset(spec);
-      ctx = FContext{FParams{}, spec.tumor_samples, spec.normal_samples};
-    } else {
-      d = all_tied(s.genes, 70, 50);
-      ctx = FContext{FParams{}, 70, 50};
-    }
-    const std::string label = scheme_label(s) + " trial=" + std::to_string(trial);
+    const Dataset d = trial_input(c, trial, rng, &ctx);
+    const std::string label = shape_label(c) + " trial=" + std::to_string(trial);
 
-    const u64 total = staged_threads(s);
-    const u64 combos = binomial(s.genes, s.hits);
-    const EvalResult serial = serial_find_best(d.tumor, d.normal, ctx, s.hits);
+    const u64 total = scheme_threads(shape, c.genes);
+    const u64 combos = binomial(c.genes, shape.hits);
+    const std::vector<EvalResult> per_thread = brute_force_per_thread(d, ctx, shape);
+    const EvalResult serial = serial_find_best(d.tumor, d.normal, ctx, shape.hits);
     ASSERT_TRUE(serial.valid) << label;
     // A combination tying the best F at a higher rank: real on the all-tied
-    // matrix (the last combination), fabricated elsewhere.
-    EvalResult tie = trial == 2 ? scored(d, ctx, s.hits, combos - 1) : serial;
+    // and all-zero matrices (the last combination), fabricated elsewhere.
+    EvalResult tie = trial >= 2 ? scored(d, ctx, shape.hits, combos - 1) : serial;
     if (trial < 2) tie.combo_rank = serial.combo_rank + 1;
     ASSERT_EQ(tie.f, serial.f) << label;
     EvalResult above = serial;  // F never exceeds 1
@@ -455,37 +450,31 @@ TEST_P(IncumbentDifferential, ResultIsIncumbentMergedWithUnprunedBest) {
     above.combo_rank = combos - 1;
     const std::vector<std::pair<const char*, EvalResult>> incumbents = {
         {"invalid", EvalResult{}},
-        {"mid-ranked", scored(d, ctx, s.hits, combos / 2)},
+        {"mid-ranked", scored(d, ctx, shape.hits, combos / 2)},
         {"serial best", serial},
         {"tie at higher rank", tie},
         {"above every F", above}};
 
-    std::vector<u64> cuts = {0, total};
-    for (int c = 0; c < 6; ++c) cuts.push_back(rng.uniform(total + 1));
-    std::sort(cuts.begin(), cuts.end());
-    // The unpruned reference per chunk: MemOpt off, no incumbent.
-    std::vector<EvalResult> unpruned;
-    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-      unpruned.push_back(staged_eval(s, d, ctx, cuts[c], cuts[c + 1], {}, nullptr, nullptr));
-    }
-
-    const MemOpts staged{.prefetch_i = trial == 1, .prefetch_j = true};
-    for (const MemOpts& opts : {MemOpts{}, staged}) {
-      const KernelStats analytic = staged_analytic(s, total, opts, d);
+    const std::vector<u64> cuts = random_cuts(total, rng);
+    for (const MemOpts& opts : kOptSettings) {
+      const KernelStats analytic = analytic_stats(shape, c.genes, 0, total, opts,
+                                                  d.tumor.words_per_row(),
+                                                  d.normal.words_per_row());
       for (const auto& [name, incumbent] : incumbents) {
         for (const bool use_arena : {false, true}) {
-          const std::string where = label + " incumbent=" + name +
-                                    (opts.prefetch_j ? " memopt-on" : " memopt-off") +
+          const std::string where = label + " incumbent=" + name + opt_label(opts) +
                                     (use_arena ? " arena" : " heap");
           Arena arena;
           EvalResult merged;
           KernelStats stats;
-          for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+          for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
             arena.reset();
-            const EvalResult got = staged_eval(s, d, ctx, cuts[c], cuts[c + 1], opts, &stats,
-                                               use_arena ? &arena : nullptr, incumbent);
-            expect_same_winner(got, merge_results(incumbent, unpruned[c]),
-                               where + " chunk=" + std::to_string(c));
+            const EvalResult got =
+                evaluate_range(d.tumor, d.normal, ctx, shape, cuts[k], cuts[k + 1], opts, &stats,
+                               use_arena ? &arena : nullptr, incumbent);
+            expect_same_winner(
+                got, merge_results(incumbent, reference(per_thread, cuts[k], cuts[k + 1])),
+                where + " chunk=" + std::to_string(k));
             merged = merge_results(merged, got);
           }
           expect_same_winner(merged, merge_results(incumbent, serial), where);
@@ -497,20 +486,26 @@ TEST_P(IncumbentDifferential, ResultIsIncumbentMergedWithUnprunedBest) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, IncumbentDifferential,
-    ::testing::Values(StagedScheme{2, static_cast<int>(Scheme2::k1x1), 40},
-                      StagedScheme{2, static_cast<int>(Scheme2::k2x1), 40},
-                      StagedScheme{3, static_cast<int>(Scheme3::k1x2), 26},
-                      StagedScheme{3, static_cast<int>(Scheme3::k2x1), 26},
-                      StagedScheme{3, static_cast<int>(Scheme3::k3x1), 26},
-                      StagedScheme{4, static_cast<int>(Scheme4::k1x3), 18},
-                      StagedScheme{4, static_cast<int>(Scheme4::k2x2), 18},
-                      StagedScheme{4, static_cast<int>(Scheme4::k3x1), 18},
-                      StagedScheme{4, static_cast<int>(Scheme4::k4x1), 18},
-                      StagedScheme{5, static_cast<int>(Scheme5::k3x2), 14},
-                      StagedScheme{5, static_cast<int>(Scheme5::k4x1), 14}),
-    [](const auto& info) { return scheme_label(info.param); });
+INSTANTIATE_TEST_SUITE_P(AllSchemes, IncumbentDifferential, ::testing::ValuesIn(kAllShapes),
+                         [](const auto& info) { return shape_label(info.param); });
+
+TEST(Schemes, ShapesNameTheirSchemes) {
+  EXPECT_EQ(shape_of(Scheme4::k1x3), (SchemeShape{4, 1}));
+  EXPECT_EQ(shape_of(Scheme4::k4x1), (SchemeShape{4, 4}));
+  EXPECT_EQ(shape_of(Scheme3::k2x1), (SchemeShape{3, 2}));
+  EXPECT_EQ(shape_of(Scheme2::k1x1), (SchemeShape{2, 1}));
+  EXPECT_EQ(shape_of(Scheme5::k3x2), (SchemeShape{5, 3}));
+  EXPECT_EQ(shape_of(Scheme5::k4x1), (SchemeShape{5, 4}));
+  for (const ShapeCase& c : kAllShapes) {
+    EXPECT_EQ(select_shape(c.shape.hits, Scheme2::k1x1, Scheme3::k2x1, Scheme4::k3x1,
+                           Scheme5::k4x1),
+              innermost_shape(c.shape.hits));
+  }
+  EXPECT_STREQ(scheme_name(SchemeShape{4, 4}), "4x1");
+  EXPECT_STREQ(scheme_name(SchemeShape{5, 3}), "3x2");
+  EXPECT_THROW(select_shape(6, Scheme2::k1x1, Scheme3::k2x1, Scheme4::k3x1, Scheme5::k4x1),
+               std::invalid_argument);
+}
 
 TEST(Schemes, NamesAreStable) {
   EXPECT_STREQ(scheme_name(Scheme4::k2x2), "2x2");

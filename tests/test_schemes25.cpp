@@ -238,12 +238,11 @@ TEST_P(Analytic25, TwoHitMatchesCounted) {
       if (a > b) std::swap(a, b);
       KernelStats counted;
       evaluate_range_2hit(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
-      const KernelStats analytic = analytic_stats_2hit(scheme, 30, a, b, opts, wt, wn);
+      const KernelStats analytic = analytic_stats(shape_of(scheme), 30, a, b, opts, wt, wn);
       ASSERT_EQ(analytic.combinations, counted.combinations) << scheme_name(scheme);
       ASSERT_EQ(analytic.word_ops, counted.word_ops) << scheme_name(scheme);
       ASSERT_EQ(analytic.global_words, counted.global_words) << scheme_name(scheme);
       ASSERT_EQ(analytic.local_words, counted.local_words) << scheme_name(scheme);
-      ASSERT_EQ(analytic.distinct_rows, counted.distinct_rows) << scheme_name(scheme);
     }
   }
 }
@@ -261,12 +260,11 @@ TEST_P(Analytic25, FiveHitMatchesCounted) {
       if (a > b) std::swap(a, b);
       KernelStats counted;
       evaluate_range_5hit(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
-      const KernelStats analytic = analytic_stats_5hit(scheme, 14, a, b, opts, wt, wn);
+      const KernelStats analytic = analytic_stats(shape_of(scheme), 14, a, b, opts, wt, wn);
       ASSERT_EQ(analytic.combinations, counted.combinations) << scheme_name(scheme);
       ASSERT_EQ(analytic.word_ops, counted.word_ops) << scheme_name(scheme);
       ASSERT_EQ(analytic.global_words, counted.global_words) << scheme_name(scheme);
       ASSERT_EQ(analytic.local_words, counted.local_words) << scheme_name(scheme);
-      ASSERT_EQ(analytic.distinct_rows, counted.distinct_rows) << scheme_name(scheme);
     }
   }
 }

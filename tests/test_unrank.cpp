@@ -83,5 +83,19 @@ TEST(Unrank, ColexSuccessorTerminates) {
   EXPECT_FALSE(next_combination_colex(last, 10));
 }
 
+TEST(Unrank, RankAtTheU64BoundaryIsExact) {
+  // The last 5-combination of G = 18580, the largest G whose C(G,5) fits.
+  const std::vector<std::uint32_t> last{18575, 18576, 18577, 18578, 18579};
+  EXPECT_EQ(rank_combination(last), binomial(18580, 5) - 1);
+  EXPECT_EQ(unrank_combination(binomial(18580, 5) - 1, 5), last);
+}
+
+TEST(UnrankDeathTest, RankPastU64Terminates) {
+  // Its true rank, C(18581,5) - 1, exceeds 2^64: wrapping would name a
+  // different combination.
+  const std::vector<std::uint32_t> last{18576, 18577, 18578, 18579, 18580};
+  EXPECT_DEATH((void)rank_combination(last), "overflows u64");
+}
+
 }  // namespace
 }  // namespace multihit
